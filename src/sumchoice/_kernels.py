@@ -1,18 +1,14 @@
 """Search kernels behind the choosability engine.
 
 Two hot loops live here: a backtracking list-coloring solver and the
-depth-first sweep over canonical color-list assignments.  Both work on flat
-int64 arrays so they can be JIT compiled by numba; setting the environment
-variable ``SUMCHOICE_NO_NUMBA=1`` (or installing without numba) selects the
-identical pure-Python/numpy code path.  ``python -m sumchoice.bench``
-compares the two.
+depth-first sweep over canonical color-list assignments.
 
 Conventions:
 
-* vertex sets are int64 bit masks (order <= 32);
-* color sets are rows of ``W`` int64 words, 63 usable bits per word, so all
-  mask values stay nonnegative in both numba and numpy arithmetic;
-* colors are identified with bit positions: color c lives in word c // 63.
+* vertex sets are Python int bit masks, vertex v = bit v;
+* a color list is a Python int mask, color c = bit c, with no bound on the
+  number of colors;
+* all sweep state lives in plain lists owned by ``SweepState``.
 
 The sweep enumerates one representative per color-renaming class of list
 assignments: scanning vertices in a fixed order, a new color may enter a
@@ -28,184 +24,86 @@ the restricted sweep still certifies choosability.
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-COLORS_PER_WORD = 63
-FULL_WORD = (1 << 63) - 1
+from itertools import combinations
+from operator import and_
+from typing import Iterator
 
 SWEEP_DONE = 0
 SWEEP_WITNESS = 1
 SWEEP_PAUSED = 2
 
-USE_NUMBA = os.environ.get("SUMCHOICE_NO_NUMBA", "").strip().lower() not in (
-    "1", "true", "yes",
-)
-if USE_NUMBA:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
-if not USE_NUMBA:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-_PC16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-@_njit(cache=True)
-def _popcount(x):
-    return (
-        _PC16[x & 0xFFFF]
-        + _PC16[(x >> 16) & 0xFFFF]
-        + _PC16[(x >> 32) & 0xFFFF]
-        + _PC16[(x >> 48) & 0xFFFF]
-    )
-
-
-@_njit(cache=True)
-def _ctz(x):
-    # index of the lowest set bit; x must be nonzero
-    return _popcount((x & -x) - 1)
-
-
-@_njit(cache=True)
-def _solve_lists(m, W, adj, lists, upto, color_of, stack_v, stack_c, forb):
-    """Proper coloring of vertices 0..upto from the list masks, or False.
+def _solve_lists(adj: list[int], lists: list[int], todo: int, colored: int,
+                 color_of: list[int]) -> bool:
+    """Extend the coloring of ``colored`` to the vertices in ``todo`` from the
+    list masks, writing colors into ``color_of``; False if impossible.
 
     Fewest-available-colors vertex selection, ties to the lowest index;
     colors tried in ascending value.  Deterministic.
     """
-    if upto < 0:
+    if not todo:
         return True
-    colored = 0
-    depth = 0
-    need_select = True
-    while True:
-        if depth > upto:
-            return True
-        if need_select:
-            best_v = -1
-            best_cnt = 1 << 40
-            for v in range(upto + 1):
-                if colored >> v & 1:
-                    continue
-                for w in range(W):
-                    forb[w] = 0
-                nbrs = adj[v] & colored
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    c = color_of[_ctz(low)]
-                    forb[c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-                cnt = 0
-                for w in range(W):
-                    cnt += _popcount(lists[v, w] & (FULL_WORD ^ forb[w]))
-                if cnt < best_cnt:
-                    best_cnt = cnt
-                    best_v = v
-                    if cnt == 0:
-                        break
-            stack_v[depth] = best_v
-            stack_c[depth] = -1
-            need_select = False
-        v = stack_v[depth]
-        for w in range(W):
-            forb[w] = 0
-        nbrs = adj[v] & colored
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            c = color_of[_ctz(low)]
-            forb[c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-        prev = stack_c[depth]
-        chosen = -1
-        for w in range(W):
-            avail = lists[v, w] & (FULL_WORD ^ forb[w])
-            if prev >= 0 and w == prev // COLORS_PER_WORD:
-                avail &= FULL_WORD ^ ((1 << (prev % COLORS_PER_WORD + 1)) - 1)
-            elif prev >= 0 and w < prev // COLORS_PER_WORD:
-                avail = 0
-            if avail:
-                chosen = w * COLORS_PER_WORD + _ctz(avail)
-                break
-        if chosen < 0:
-            if depth == 0:
-                return False
-            depth -= 1
-            colored ^= 1 << stack_v[depth]
-            need_select = False
-        else:
-            stack_c[depth] = chosen
-            color_of[v] = chosen
-            colored |= 1 << v
-            depth += 1
-            need_select = True
-
-
-@_njit(cache=True)
-def _cache_lookup(cache_cols, cache_plen, count, lists, upto):
-    """Index of a cached prefix coloring compatible with the current list
-    masks on vertices 0..upto, or -1."""
-    for j in range(count):
-        if cache_plen[j] <= upto:
-            continue
-        ok = True
-        for v in range(upto + 1):
-            c = cache_cols[j, v]
-            if not lists[v, c // COLORS_PER_WORD] >> (c % COLORS_PER_WORD) & 1:
-                ok = False
-                break
-        if ok:
-            return j
-    return -1
-
-
-@_njit(cache=True)
-def _class_mask(lists, upto, color):
-    w = color // COLORS_PER_WORD
-    bit = color % COLORS_PER_WORD
-    mask = 0
-    for v in range(upto + 1):
-        if lists[v, w] >> bit & 1:
-            mask |= 1 << v
-    return mask
-
-
-@_njit(cache=True)
-def _neighborhood(adj, vertex_mask):
-    nbr = 0
-    t = vertex_mask
+    best_v = -1
+    best_avail = 0
+    best_cnt = -1
+    t = todo
     while t:
         low = t & -t
         t ^= low
-        nbr |= adj[_ctz(low)]
+        v = low.bit_length() - 1
+        forb = 0
+        nbrs = adj[v] & colored
+        while nbrs:
+            u = nbrs & -nbrs
+            nbrs ^= u
+            forb |= 1 << color_of[u.bit_length() - 1]
+        avail = lists[v] & ~forb
+        cnt = avail.bit_count()
+        if best_cnt < 0 or cnt < best_cnt:
+            best_v, best_avail, best_cnt = v, avail, cnt
+            if cnt == 0:
+                return False
+    bit = 1 << best_v
+    while best_avail:
+        low = best_avail & -best_avail
+        best_avail ^= low
+        color_of[best_v] = low.bit_length() - 1
+        if _solve_lists(adj, lists, todo ^ bit, colored | bit, color_of):
+            return True
+    return False
+
+
+def _neighborhood(adj: list[int], vertex_mask: int) -> int:
+    nbr = 0
+    while vertex_mask:
+        low = vertex_mask & -vertex_mask
+        vertex_mask ^= low
+        nbr |= adj[low.bit_length() - 1]
     return nbr
 
 
-@_njit(cache=True)
-def _classes_ok(adj, lists, level, u_after, future):
+def _class_masks(lists: list[int], upto: int, n_colors: int) -> list[int]:
+    """Per color, the mask of vertices 0..upto whose list holds it."""
+    classes = [0] * n_colors
+    for v in range(upto + 1):
+        row = lists[v]
+        while row:
+            low = row & -row
+            row ^= low
+            classes[low.bit_length() - 1] |= 1 << v
+    return classes
+
+
+def _classes_ok(adj: list[int], lists: list[int], level: int, u_after: int,
+                future: int) -> bool:
     """False when some color class on vertices 0..level has a component
     that is separated from the rest and cannot reach any future vertex."""
-    for x in range(u_after):
-        mask = _class_mask(lists, level, x)
-        if mask == 0:
-            continue
+    for mask in _class_masks(lists, level, u_after):
         remaining = mask
         ncomp = 0
         frozen = False
         while remaining:
             comp = remaining & -remaining
-            nbr = 0
             while True:
                 nbr = _neighborhood(adj, comp)
                 grown = comp | (nbr & mask)
@@ -213,7 +111,7 @@ def _classes_ok(adj, lists, level, u_after, future):
                     break
                 comp = grown
             ncomp += 1
-            if (nbr & future) == 0:
+            if not nbr & future:
                 frozen = True
             remaining ^= comp
         if ncomp >= 2 and frozen:
@@ -221,250 +119,136 @@ def _classes_ok(adj, lists, level, u_after, future):
     return True
 
 
-@_njit(cache=True)
-def _allowed_old_colors(adj, lists, level, u, future, conn_prune, out):
+def _allowed_old_colors(adj: list[int], lists: list[int], level: int, u: int,
+                        future: int, conn_prune: bool) -> list[int]:
     """Old colors that may still enter the list of ``level`` without dooming
     class connectivity; all of 0..u-1 when pruning is off."""
     if not conn_prune:
-        for x in range(u):
-            out[x] = x
-        return u
+        return list(range(u))
     adj_i = adj[level]
-    i_touches_future = (adj_i & future) != 0
-    cnt = 0
-    for x in range(u):
-        mask = _class_mask(lists, level - 1, x)
-        ok = False
-        if adj_i & mask:
-            ok = True
-        elif i_touches_future:
-            if _neighborhood(adj, mask) & future:
-                ok = True
-        if ok:
-            out[cnt] = x
-            cnt += 1
-    return cnt
+    i_touches_future = bool(adj_i & future)
+    allowed = []
+    for x, mask in enumerate(_class_masks(lists, level - 1, u)):
+        if adj_i & mask or (i_touches_future and _neighborhood(adj, mask) & future):
+            allowed.append(x)
+    return allowed
 
 
-@_njit(cache=True)
-def _advance_option(level, f, u_cap, u_before, k_arr, fresh, comb, n_allowed):
-    """Step the (fresh-color count, old-color combination) iterator at
-    ``level``; returns False when the level is exhausted."""
-    fi = f[level]
-    na = n_allowed[level]
-    u = u_before[level]
-    if fresh[level]:
-        fresh[level] = 0
-        k = fi - na if fi > na else 0
+def _options(size: int, allowed: list[int], u: int,
+             u_cap: int) -> Iterator[tuple[int, int]]:
+    """(list mask, colors used after it) for each option of one vertex: by
+    number k of fresh colors ascending, then old-color combination in
+    lexicographic order.  Fresh colors are u, u+1, ..., never past u_cap."""
+    allowed_bits = [1 << x for x in allowed]
+    for k in range(max(size - len(allowed), 0), size + 1):
         if u + k > u_cap:
-            return False
-        k_arr[level] = k
-        for j in range(fi - k):
-            comb[level, j] = j
-        return True
-    k = k_arr[level]
-    r = fi - k
-    if r > 0:
-        j = r - 1
-        while j >= 0 and comb[level, j] == na - r + j:
-            j -= 1
-        if j >= 0:
-            comb[level, j] += 1
-            for t in range(j + 1, r):
-                comb[level, t] = comb[level, t - 1] + 1
-            return True
-    k += 1
-    if k > fi or u + k > u_cap:
-        return False
-    k_arr[level] = k
-    for j in range(fi - k):
-        comb[level, j] = j
-    return True
-
-
-@_njit(cache=True)
-def _fill_list(level, f, u_before, k_arr, comb, allowed, lists, W):
-    for w in range(W):
-        lists[level, w] = 0
-    k = k_arr[level]
-    for j in range(f[level] - k):
-        c = allowed[level, comb[level, j]]
-        lists[level, c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-    u = u_before[level]
-    for t in range(k):
-        c = u + t
-        lists[level, c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-
-
-@_njit(cache=True)
-def _sweep(
-    m, W, adj, f, u_cap, conn_prune,
-    state, u_before, k_arr, fresh, comb, allowed, n_allowed, lists,
-    cache_cols, cache_plen, cache_meta,
-    color_of, stack_v, stack_c, forb,
-    counters, node_budget,
-):
-    """Resumable DFS over canonical list assignments.
-
-    Probes every prefix for colorability; an uncolorable prefix is completed
-    with arbitrary valid lists into a witness.  Search position lives in the
-    caller-owned arrays, so a PAUSED return can simply be called again.
-
-    counters: 0 nodes, 1 full assignments examined, 2 solver calls,
-    3 cache hits.  Returns SWEEP_DONE / SWEEP_WITNESS / SWEEP_PAUSED.
-    """
-    cache_size = cache_plen.shape[0]
-    level = state[0]
-    nodes_here = 0
-    while True:
-        if level < 0:
-            state[0] = level
-            return SWEEP_DONE
-        if nodes_here >= node_budget:
-            state[0] = level
-            return SWEEP_PAUSED
-        if not _advance_option(level, f, u_cap, u_before, k_arr, fresh, comb, n_allowed):
-            fresh[level] = 1
-            level -= 1
-            continue
-        _fill_list(level, f, u_before, k_arr, comb, allowed, lists, W)
-        nodes_here += 1
-        counters[0] += 1
-        u_after = u_before[level] + k_arr[level]
-        future = ((1 << m) - 1) ^ ((1 << (level + 1)) - 1)
-        if conn_prune and not _classes_ok(adj, lists, level, u_after, future):
-            continue
-        hit = _cache_lookup(cache_cols, cache_plen, cache_meta[0], lists, level)
-        if hit >= 0:
-            counters[3] += 1
-            colorable = True
-        else:
-            counters[2] += 1
-            colorable = _solve_lists(
-                m, W, adj, lists, level, color_of, stack_v, stack_c, forb
-            )
-            if colorable:
-                pos = cache_meta[1]
-                for v in range(level + 1):
-                    cache_cols[pos, v] = color_of[v]
-                cache_plen[pos] = level + 1
-                cache_meta[1] = (pos + 1) % cache_size
-                if cache_meta[0] < cache_size:
-                    cache_meta[0] += 1
-        if not colorable:
-            for j in range(level + 1, m):
-                for w in range(W):
-                    lists[j, w] = 0
-                for c in range(f[j]):
-                    lists[j, c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-            state[0] = level
-            return SWEEP_WITNESS
-        if level == m - 1:
-            counters[1] += 1
-            continue
-        u_before[level + 1] = u_after
-        level += 1
-        fresh[level] = 1
-        n_allowed[level] = _allowed_old_colors(
-            adj, lists, level, u_after, future ^ (1 << level), conn_prune,
-            allowed[level],
-        )
-
-
-def words_for_colors(n_colors: int) -> int:
-    return max(1, -(-n_colors // COLORS_PER_WORD))
-
-
-def masks_from_lists(lists: list[tuple[int, ...]], W: int) -> np.ndarray:
-    arr = np.zeros((len(lists), W), dtype=np.int64)
-    for v, row in enumerate(lists):
-        for c in row:
-            arr[v, c // COLORS_PER_WORD] |= 1 << (c % COLORS_PER_WORD)
-    return arr
-
-
-def lists_from_masks(arr: np.ndarray, m: int, W: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for v in range(m):
-        row = []
-        for w in range(W):
-            word = int(arr[v, w])
-            while word:
-                low = word & -word
-                word ^= low
-                row.append(w * COLORS_PER_WORD + low.bit_length() - 1)
-        out.append(tuple(row))
-    return tuple(out)
+            return
+        fresh = ((1 << k) - 1) << u
+        for old in combinations(allowed_bits, size - k):
+            yield fresh + sum(old), u + k  # distinct bits: the sum is the union
 
 
 class SweepState:
-    """Owns the numpy arrays for one canonical-assignment sweep."""
+    """Resumable DFS over canonical list assignments.
+
+    Probes every prefix for colorability; an uncolorable prefix is completed
+    with arbitrary valid lists into a witness.  Colorable prefixes go into a
+    ring cache of CACHE_SIZE colorings, which later prefixes are checked
+    against before the solver is called.
+
+    counters: 0 nodes, 1 full assignments examined, 2 solver calls,
+    3 cache hits.
+    """
 
     CACHE_SIZE = 64
 
     def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int,
                  conn_prune: bool):
         m = len(sizes)
-        total = sum(sizes)
         self.m = m
-        self.W = words_for_colors(max(total, 1))
-        self.u_cap = min(u_cap, total)
+        self.adj = list(adj_masks)
+        self.f = list(sizes)
+        self.u_cap = min(u_cap, sum(sizes))
         self.conn_prune = conn_prune
-        self.adj = np.array(adj_masks, dtype=np.int64)
-        self.f = np.array(sizes, dtype=np.int64)
-        self.state = np.zeros(1, dtype=np.int64)
-        self.u_before = np.zeros(m + 1, dtype=np.int64)
-        self.k_arr = np.zeros(m, dtype=np.int64)
-        self.fresh = np.zeros(m, dtype=np.int64)
-        maxf = max(sizes) if sizes else 1
-        self.comb = np.zeros((m, maxf + 1), dtype=np.int64)
-        self.allowed = np.zeros((m, max(total, 1)), dtype=np.int64)
-        self.n_allowed = np.zeros(m, dtype=np.int64)
-        self.lists = np.zeros((m, self.W), dtype=np.int64)
-        self.cache_cols = np.zeros((self.CACHE_SIZE, m), dtype=np.int64)
-        self.cache_plen = np.zeros(self.CACHE_SIZE, dtype=np.int64)
-        self.cache_meta = np.zeros(2, dtype=np.int64)
-        self.color_of = np.zeros(m, dtype=np.int64)
-        self.stack_v = np.zeros(m, dtype=np.int64)
-        self.stack_c = np.zeros(m, dtype=np.int64)
-        self.forb = np.zeros(self.W, dtype=np.int64)
-        self.counters = np.zeros(4, dtype=np.int64)
-        self.fresh[0] = 1
+        self.lists = [0] * m
+        self.color_of = [0] * m
+        # per level, the iterator over that vertex's remaining options
+        self.options = [iter(())] * m
+        if m:
+            self.options[0] = _options(self.f[0], [], 0, self.u_cap)
+        self.level = 0
+        # ring cache of colorable prefixes: (prefix length, color bit per vertex)
+        self.cache: list[tuple[int, tuple[int, ...]]] = []
+        self.cache_pos = 0
+        self.counters = [0, 0, 0, 0]
 
     def run(self, node_budget: int) -> int:
-        return _sweep(
-            self.m, self.W, self.adj, self.f, self.u_cap,
-            self.conn_prune,
-            self.state, self.u_before, self.k_arr, self.fresh, self.comb,
-            self.allowed, self.n_allowed, self.lists,
-            self.cache_cols, self.cache_plen, self.cache_meta,
-            self.color_of, self.stack_v, self.stack_c, self.forb,
-            self.counters, node_budget,
-        )
+        """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,
+        SWEEP_WITNESS or SWEEP_PAUSED (call again to resume)."""
+        m, adj, f, lists = self.m, self.adj, self.f, self.lists
+        counters, cache = self.counters, self.cache
+        full = (1 << m) - 1
+        level = self.level
+        nodes_here = 0
+        while True:
+            if level < 0:
+                self.level = level
+                return SWEEP_DONE
+            if nodes_here >= node_budget:
+                self.level = level
+                return SWEEP_PAUSED
+            option = next(self.options[level], None)
+            if option is None:
+                level -= 1
+                continue
+            lists[level], u_after = option
+            nodes_here += 1
+            counters[0] += 1
+            prefix = (1 << (level + 1)) - 1
+            future = full ^ prefix
+            if self.conn_prune and not _classes_ok(adj, lists, level, u_after, future):
+                continue
+            # cache hit: a stored coloring reaches past this prefix and fits its lists
+            head = lists[:level + 1]
+            if any(plen > level and all(map(and_, head, bits)) for plen, bits in cache):
+                counters[3] += 1
+            else:
+                counters[2] += 1
+                if not _solve_lists(adj, lists, prefix, 0, self.color_of):
+                    for j in range(level + 1, m):
+                        lists[j] = (1 << f[j]) - 1
+                    self.level = level
+                    return SWEEP_WITNESS
+                entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
+                if len(cache) < self.CACHE_SIZE:
+                    cache.append(entry)
+                else:
+                    cache[self.cache_pos] = entry
+                self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
+            if level == m - 1:
+                counters[1] += 1
+                continue
+            level += 1
+            allowed = _allowed_old_colors(adj, lists, level, u_after,
+                                          future ^ (1 << level), self.conn_prune)
+            self.options[level] = _options(f[level], allowed, u_after, self.u_cap)
 
     @property
     def nodes(self) -> int:
-        return int(self.counters[0])
+        return self.counters[0]
 
     @property
     def assignments_examined(self) -> int:
-        return int(self.counters[1])
+        return self.counters[1]
 
     def witness_lists(self) -> tuple[tuple[int, ...], ...]:
-        return lists_from_masks(self.lists, self.m, self.W)
+        return tuple(tuple(c for c in range(row.bit_length()) if row >> c & 1)
+                     for row in self.lists)
 
 
-def solve_lists_once(adj_masks: list[int], list_masks: np.ndarray,
-                     W: int) -> np.ndarray | None:
+def solve_lists_once(adj_masks: list[int], list_masks: list[int]) -> list[int] | None:
     """One-shot proper-coloring search over explicit list masks; returns the
-    color array or None."""
-    m = len(adj_masks)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    adj = np.array(adj_masks, dtype=np.int64)
-    color_of = np.zeros(m, dtype=np.int64)
-    stack_v = np.zeros(m, dtype=np.int64)
-    stack_c = np.zeros(m, dtype=np.int64)
-    forb = np.zeros(W, dtype=np.int64)
-    ok = _solve_lists(m, W, adj, list_masks, m - 1, color_of, stack_v, stack_c, forb)
+    color of each vertex, or None."""
+    color_of = [0] * len(adj_masks)
+    ok = _solve_lists(adj_masks, list_masks, (1 << len(adj_masks)) - 1, 0, color_of)
     return color_of if ok else None

@@ -1,41 +1,36 @@
-"""Benchmark the search kernels: numba-jitted vs pure-Python fallback.
+"""Benchmark the search kernels on four fixed workloads.
 
-Run ``python -m sumchoice.bench`` for the active mode, or add ``--both`` to
-spawn a subprocess with SUMCHOICE_NO_NUMBA=1 and print a comparison table.
+Run ``python -m sumchoice.bench`` for a table of times, or add ``--json``
+for machine-readable output.  Each workload runs once and its answer is
+checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
+import random
 import sys
 import time
 
-import numpy as np
-
 
 def _workloads():
-    from . import _kernels
-    from .choosability import is_choosable, is_list_colorable
+    from .choosability import all_proper_colorings, is_choosable, is_list_colorable
     from .families import BrokenWheel, CompleteBipartite, PathOfCycles, Wheel, generate
     from .sumnumber import MemoStore, chi_sc
 
+    g = generate(BrokenWheel(4))
+    rng = random.Random(7)
+    instances = [[tuple(sorted(rng.sample(range(5), 2))) for _ in range(g.n)]
+                 for _ in range(400)]
+    colorable = sum(next(all_proper_colorings(g, lists), None) is not None
+                    for lists in instances)
+
     def solver_micro():
-        g = generate(BrokenWheel(4))
-        rng = np.random.default_rng(7)
-        hits = 0
-        for _ in range(400):
-            lists = [tuple(sorted(rng.choice(5, size=2, replace=False).tolist()))
-                     for _ in range(g.n)]
-            if is_list_colorable(g, lists) is not None:
-                hits += 1
-        return hits
+        return sum(is_list_colorable(g, lists) is not None for lists in instances)
 
     def sweep_k23():
-        g = generate(CompleteBipartite(2, 3))
-        verdict = is_choosable(g, (2, 2, 2, 2, 2))
+        verdict = is_choosable(generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2))
         return verdict.assignments_examined
 
     def chi_w4():
@@ -45,7 +40,7 @@ def _workloads():
         return chi_sc(generate(PathOfCycles((4, 5))), MemoStore()).chi_sc
 
     return [
-        ("list-coloring solver x400", solver_micro, 387),
+        ("list-coloring solver x400", solver_micro, colorable),
         ("choosability sweep K23 f=2", sweep_k23, None),
         ("chi_sc wheel W4", chi_w4, 12),
         ("chi_sc path of cycles 4,5", chi_path_of_cycles, 15),
@@ -53,20 +48,14 @@ def _workloads():
 
 
 def run_bench() -> list[dict]:
-    from . import _kernels
     results = []
     for name, fn, expect in _workloads():
-        fn()  # warm-up: triggers JIT compilation in numba mode
         t0 = time.perf_counter()
         value = fn()
         elapsed = time.perf_counter() - t0
         if expect is not None and value != expect:
             raise AssertionError(f"{name}: got {value}, expected {expect}")
-        results.append({
-            "name": name,
-            "seconds": elapsed,
-            "mode": "numba" if _kernels.USE_NUMBA else "pure-python",
-        })
+        results.append({"name": name, "seconds": elapsed})
     return results
 
 
@@ -74,36 +63,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m sumchoice.bench")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output only")
-    parser.add_argument("--both", action="store_true",
-                        help="also run the other kernel mode in a subprocess")
     args = parser.parse_args(argv)
 
     results = run_bench()
     if args.json:
         print(json.dumps(results))
         return 0
-
-    from . import _kernels
-    mode = "numba" if _kernels.USE_NUMBA else "pure-python"
-    print(f"kernel mode: {mode}")
     for r in results:
         print(f"  {r['name']:<32} {r['seconds'] * 1000:10.1f} ms")
-
-    if args.both:
-        env = dict(os.environ)
-        if _kernels.USE_NUMBA:
-            env["SUMCHOICE_NO_NUMBA"] = "1"
-        else:
-            env.pop("SUMCHOICE_NO_NUMBA", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "sumchoice.bench", "--json"],
-            capture_output=True, text=True, env=env, check=True)
-        other = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"kernel mode: {other[0]['mode']}")
-        for mine, theirs in zip(results, other):
-            ratio = theirs["seconds"] / mine["seconds"]
-            print(f"  {theirs['name']:<32} {theirs['seconds'] * 1000:10.1f} ms"
-                  f"   ({ratio:5.1f}x vs {mode})")
     return 0
 
 

@@ -27,7 +27,7 @@ Coloring = tuple[int, ...]
 # per-vertex color lists, each sorted ascending
 ListAssignment = tuple[tuple[int, ...], ...]
 
-CHUNK_NODES = 1 << 16
+CHUNK_NODES = 1 << 11
 
 
 @dataclass
@@ -105,13 +105,11 @@ def is_list_colorable(g: Graph, lists: Sequence[Sequence[int]]) -> Coloring | No
         return ()
     values = sorted({c for row in lists for c in row})
     index = {c: i for i, c in enumerate(values)}
-    W = _kernels.words_for_colors(max(len(values), 1))
-    masks = _kernels.masks_from_lists(
-        [tuple(index[c] for c in row) for row in lists], W)
-    arr = _kernels.solve_lists_once(list(g.adj), masks, W)
-    if arr is None:
+    masks = [sum(1 << index[c] for c in set(row)) for row in lists]
+    colors = _kernels.solve_lists_once(list(g.adj), masks)
+    if colors is None:
         return None
-    return tuple(values[int(c)] for c in arr)
+    return tuple(values[c] for c in colors)
 
 
 def all_proper_colorings(g: Graph, lists: Sequence[Sequence[int]]) -> Iterator[Coloring]:

@@ -8,7 +8,6 @@ take graphs and return new graphs or plain data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NewType
@@ -474,11 +473,3 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     if n > _ENUM_MAX:
         raise CapacityError(f"enumeration supports n <= {_ENUM_MAX}, got {n}")
     yield from _connected_classes(n)
-
-
-def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices (2^C(n,2) of them); test-scale only."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in iter_bits(mask)]
-        yield graph_from_edges(n, edges)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence, Union
@@ -31,7 +32,7 @@ from . import families as fam
 from .choosability import (
     Budget, Choosable, SizeFunction, UnknownVerdict, is_choosable,
 )
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
     CANONICAL_MAX_ORDER, CanonicalKey, Graph, blocks, canonical_form,
     canonical_form_and_permutation, enumerate_connected_graphs,
@@ -137,34 +138,49 @@ def _decode_bound(x):
 class MemoStore:
     """Canonical-key -> record map with optional JSON-lines persistence.
 
-    Records are final: writing a key twice asserts the values agree.
-    Stored size functions use the canonical labeling; callers map them
-    through the canonical permutation of their own graph.
+    Records are final: writing a key twice with different values raises
+    SumChoiceError.  Stored size functions use the canonical labeling;
+    callers map them through the canonical permutation of their own graph.
+
+    A final line with no trailing newline that does not parse is what a
+    crash during an append leaves behind; it is ignored on load and cut off
+    before the next append.  Any other malformed line raises SumChoiceError.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._data: dict[str, SumChoiceRecord] = {}
         self._lock = threading.Lock()
+        self._torn_at: int | None = None  # byte offset of a torn final line
         if path:
             try:
-                with open(path) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        obj = json.loads(line)
-                        self._data[obj["canonical_graph6"]] = SumChoiceRecord(
-                            chi_sc=obj["chi_sc"],
-                            greedy_bound=obj["gb"],
-                            sc_greedy=obj["chi_sc"] == obj["gb"],
-                            optimal_f=tuple(obj["optimal_f"]),
-                            rho=_decode_bound(obj["rho"]),
-                            tau=_decode_bound(obj["tau"]),
-                            method="cache",
-                        )
+                with open(path, "rb") as fh:
+                    text = fh.read()
             except FileNotFoundError:
-                pass
+                return
+            lines = text.split(b"\n")
+            for number, line in enumerate(lines, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    if number == len(lines):
+                        self._torn_at = len(text) - len(line)
+                        continue
+                    raise SumChoiceError(f"{path}:{number}: malformed memo line") from exc
+                try:
+                    self._data[obj["canonical_graph6"]] = SumChoiceRecord(
+                        chi_sc=obj["chi_sc"],
+                        greedy_bound=obj["gb"],
+                        sc_greedy=obj["chi_sc"] == obj["gb"],
+                        optimal_f=tuple(obj["optimal_f"]),
+                        rho=_decode_bound(obj["rho"]),
+                        tau=_decode_bound(obj["tau"]),
+                        method="cache",
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise SumChoiceError(f"{path}:{number}: malformed memo record") from exc
 
     def __len__(self) -> int:
         return len(self._data)
@@ -178,13 +194,16 @@ class MemoStore:
             old = self._data.get(key)
             if old is not None:
                 if (old.chi_sc, old.greedy_bound) != (record.chi_sc, record.greedy_bound):
-                    raise AssertionError(
+                    raise SumChoiceError(
                         f"conflicting records for {key}: "
                         f"{(old.chi_sc, old.greedy_bound)} vs "
                         f"{(record.chi_sc, record.greedy_bound)}")
                 return
             self._data[key] = record
             if self.path:
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 with open(self.path, "a") as fh:
                     fh.write(json.dumps({
                         "canonical_graph6": key,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +174,16 @@ class TestIsChoosable:
                                Budget(node_limit=200))
         assert isinstance(verdict, UnknownVerdict)
         assert verdict.progress
+
+    def test_deadline_is_checked_within_a_sweep(self):
+        # the deadline falls inside the exhaustive W4 sweep; one chunk of
+        # kernel work must not carry the run far past it
+        g = generate(Wheel(4))
+        t0 = time.monotonic()
+        verdict = is_choosable(g, (3, 3, 2, 2, 2), Budget.of(seconds=0.2))
+        elapsed = time.monotonic() - t0
+        assert isinstance(verdict, UnknownVerdict)
+        assert elapsed < 0.2 + 0.5
 
     def test_empty_graph(self):
         assert isinstance(is_choosable(empty_graph(0), ()), Choosable)

@@ -41,6 +41,25 @@ class TestChiSc:
         text = cache.read_text()
         assert '"chi_sc": 10' in text
 
+    def test_torn_memo_line_is_ignored(self, capsys, tmp_path):
+        cache = tmp_path / "memo.jsonl"
+        code, _, _ = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        assert code == 0
+        with open(cache, "a") as fh:
+            fh.write('{"canonical_graph6": "Bw", "chi_sc": 6, "g')
+        code, out, _ = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        assert code == 0
+        assert "chi_sc = 6" in out
+
+    def test_corrupt_memo_line_exits_2(self, capsys, tmp_path):
+        cache = tmp_path / "memo.jsonl"
+        run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("not json\n" + "".join(lines))
+        code, _, err = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        assert code == 2
+        assert "malformed memo line" in err
+
 
 class TestChoosable:
     def test_triangle_witness(self, capsys):

@@ -10,6 +10,7 @@ from sumchoice import (
     enumerate_connected_graphs, generate, graph_from_edges, greedy_bound,
     greedy_choice_function, is_choosable, is_sc_greedy, rho, tau,
 )
+from sumchoice.errors import SumChoiceError
 from sumchoice.families import (
     BrokenWheel, CartesianProduct, Complete, CompleteBipartite, Cycle, Path,
     PathOfCycles, Power, Theta, TreeOfCycles, Wheel,
@@ -264,8 +265,31 @@ class TestMemoStore:
         rec = chi_sc(generate(Cycle(4)), store)
         key = canonical_form(generate(Cycle(4)))
         from dataclasses import replace
-        with pytest.raises(AssertionError):
+        with pytest.raises(SumChoiceError):
             store.put(key, replace(rec, chi_sc=7))
+
+    def test_torn_final_line_is_skipped_and_cut(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        store = MemoStore(str(path))
+        chi_sc(generate(Cycle(4)), store)
+        whole = path.read_text()
+        path.write_text(whole + '{"canonical_graph6": "Dh')
+        reloaded = MemoStore(str(path))
+        assert len(reloaded) == len(store)
+        chi_sc(generate(Cycle(5)), reloaded)
+        # the next append replaced the torn line, so the file loads cleanly
+        text = path.read_text()
+        assert text.startswith(whole)
+        assert all(json.loads(line) for line in text.splitlines())
+        assert len(MemoStore(str(path))) == len(reloaded)
+
+    def test_record_missing_fields_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        chi_sc(generate(Cycle(4)), MemoStore(str(path)))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + '{"chi_sc": 4}\n' + "".join(lines[1:]))
+        with pytest.raises(SumChoiceError, match=":2:"):
+            MemoStore(str(path))
 
     def test_duplicate_put_is_noop(self):
         store = MemoStore()
