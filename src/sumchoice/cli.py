@@ -202,10 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    if getattr(args, "jobs", 1) < 1:
+        raise SumChoiceError(f"--jobs must be at least 1, got {args.jobs}")
+    if not getattr(args, "budget", 0.0) >= 0:  # also rejects NaN
+        raise SumChoiceError(f"--budget must be a non-negative number of seconds, "
+                             f"got {args.budget}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.fn(args)
     except SumChoiceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,8 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from contextlib import closing
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
 
 from . import families as fam
@@ -66,24 +67,6 @@ def greedy_choice_function(g: Graph, ordering: Sequence[int] | None = None) -> S
 # Records and the memo store
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Transcript:
-    size_functions_tested: int = 0
-    assignments_checked: int = 0
-    nodes: int = 0
-
-    def absorb_verdict(self, verdict) -> None:
-        self.size_functions_tested += 1
-        if isinstance(verdict, Choosable):
-            self.assignments_checked += verdict.assignments_examined
-        self.nodes += getattr(verdict, "nodes", 0)
-
-    def merge(self, other: "Transcript") -> None:
-        self.size_functions_tested += other.size_functions_tested
-        self.assignments_checked += other.assignments_checked
-        self.nodes += other.nodes
-
-
 @dataclass(frozen=True)
 class SumChoiceRecord:
     chi_sc: int
@@ -94,7 +77,6 @@ class SumChoiceRecord:
     tau: int | float | None  # None: capped search found nothing at <= cap
     method: str = ""
     rho_vertex: int | None = None
-    transcript: Transcript = field(default_factory=Transcript)
 
     def relabeled(self, perm: Sequence[int]) -> "SumChoiceRecord":
         """Map optimal_f through perm (old vertex -> new position)."""
@@ -261,7 +243,6 @@ def bounded_sum_vectors(lows: Sequence[int], highs: Sequence[int],
 class TauResult:
     value: int | float  # INFINITY when nothing choosable at <= cap
     choice_function: SizeFunction | None
-    transcript: Transcript
     unknown: bool = False
     lower_bound: int = 0  # every non-simple size below this is not choosable
 
@@ -273,42 +254,57 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     (lexicographic within one size).  INFINITY if none exists at <= cap or
     some vertex has degree below 2.
 
-    ``pool``: optional concurrent.futures executor; candidates of equal
-    total size are then checked in parallel (the verdict is combined in
-    candidate order, so results are identical to the serial run).
+    The candidates of one size are checked one at a time, in order, and the
+    first Choosable or Unknown verdict settles the size: no later candidate
+    is checked.
+
+    ``pool``: optional concurrent.futures executor.  The candidates of one
+    size are then submitted together and their verdicts read in candidate
+    order, so the result is identical to the serial run; once a verdict
+    settles the size, the checks the pool has not taken up are cancelled.
+    Each check gets the budget's deadline and the node limit it has left,
+    and the nodes of every verdict read are added to ``budget``.
     """
-    t = Transcript()
     degs = [g.degree(v) for v in range(g.n)]
     if g.n == 0 or min(degs) < 2:
-        return TauResult(INFINITY, None, t)
+        return TauResult(INFINITY, None)
     lows = [2] * g.n
-    lo = sum(lows)
     hi = int(min(cap, sum(degs)))
-    for total in range(lo, hi + 1):
-        candidates = list(bounded_sum_vectors(lows, degs, total))
-        if pool is not None and len(candidates) > 1:
-            verdicts = list(pool.map(_choosable_for_pool,
-                                     [(g.adj, f) for f in candidates]))
+    for total in range(2 * g.n, hi + 1):
+        candidates = bounded_sum_vectors(lows, degs, total)
+        if pool is None:
+            verdicts = ((f, is_choosable(g, f, budget)) for f in candidates)
         else:
-            verdicts = [is_choosable(g, f, budget) for f in candidates]
-        for f, verdict in zip(candidates, verdicts):
-            t.absorb_verdict(verdict)
-            if isinstance(verdict, UnknownVerdict):
-                return TauResult(INFINITY, None, t, unknown=True, lower_bound=total)
-            if isinstance(verdict, Choosable):
-                return TauResult(total, f, t, lower_bound=total)
+            verdicts = _pool_verdicts(pool, g, candidates, budget)
+        with closing(verdicts):
+            for f, verdict in verdicts:
+                if isinstance(verdict, UnknownVerdict):
+                    return TauResult(INFINITY, None, unknown=True, lower_bound=total)
+                if isinstance(verdict, Choosable):
+                    return TauResult(total, f, lower_bound=total)
         if budget is not None:
             try:
                 budget.check("size-function search")
             except SearchBudgetExceeded:
-                return TauResult(INFINITY, None, t, unknown=True,
-                                 lower_bound=total + 1)
-    return TauResult(INFINITY, None, t, lower_bound=hi + 1)
+                return TauResult(INFINITY, None, unknown=True, lower_bound=total + 1)
+    return TauResult(INFINITY, None, lower_bound=hi + 1)
 
 
-def _choosable_for_pool(args):
-    adj, f = args
-    return is_choosable(Graph(len(adj), tuple(adj)), f)
+def _pool_verdicts(pool, g: Graph, candidates: Iterator[SizeFunction],
+                   budget: Budget | None) -> Iterator[tuple[SizeFunction, object]]:
+    """(f, verdict) for each candidate in order, checked in ``pool``.
+    Closing the generator cancels the checks the pool has not taken up."""
+    left = replace(budget) if budget is not None else None  # limits and use so far
+    futures = [(f, pool.submit(is_choosable, g, f, left)) for f in candidates]
+    try:
+        for f, future in futures:
+            verdict = future.result()
+            if budget is not None:
+                budget.add_nodes(verdict.nodes)
+            yield f, verdict
+    finally:
+        for _, future in futures:
+            future.cancel()
 
 
 @dataclass
@@ -416,7 +412,6 @@ def _chi_components(g, comps, memo, budget, pool) -> ChiOutcome:
     lower = 0
     sc = True
     f = [0] * g.n
-    t = Transcript()
     unknown = False
     for mask in comps:
         verts = list(iter_bits(mask))
@@ -429,19 +424,17 @@ def _chi_components(g, comps, memo, budget, pool) -> ChiOutcome:
         total += out.chi_sc
         lower += out.chi_sc
         sc = sc and out.sc_greedy
-        t.merge(out.transcript)
         for i, v in enumerate(verts):
             f[v] = out.optimal_f[i]
     if unknown:
         return ChiUnknown(lower, greedy_bound(g), "component computation hit the budget")
     return SumChoiceRecord(total, greedy_bound(g), total == greedy_bound(g),
-                           tuple(f), None, None, method="components", transcript=t)
+                           tuple(f), None, None, method="components")
 
 
 def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
     """sum of block values minus (number of blocks - 1); the combined size
     function spends one list slot per extra block at each cut vertex."""
-    t = Transcript()
     total = 0
     lower = 0
     unknown = False
@@ -456,7 +449,6 @@ def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
             continue
         total += out.chi_sc
         lower += out.chi_sc - 1
-        t.merge(out.transcript)
         for i, v in enumerate(blk):
             f[v] += out.optimal_f[i]
             seen_count[v] += 1
@@ -473,8 +465,7 @@ def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
         return ChiUnknown(chi, chi, f"value certified, combined size function "
                           f"unverified: {exc}")
     gb = greedy_bound(g)
-    return SumChoiceRecord(chi, gb, chi == gb, fr, None, None,
-                           method="blocks", transcript=t)
+    return SumChoiceRecord(chi, gb, chi == gb, fr, None, None, method="blocks")
 
 
 def _chi_base(g, memo, budget, pool) -> ChiOutcome:
@@ -494,8 +485,6 @@ def _chi_base(g, memo, budget, pool) -> ChiOutcome:
         upper = int(rho_val) if rho_val != INFINITY else gb
         return ChiUnknown(lower, upper, "size-function search hit the budget")
     chi = int(min(rho_val, tau_res.value))
-    t = Transcript()
-    t.merge(tau_res.transcript)
     if tau_res.value < rho_val:
         f = tau_res.choice_function
         tau_field: int | float | None = tau_res.value
@@ -512,7 +501,7 @@ def _chi_base(g, memo, budget, pool) -> ChiOutcome:
             return ChiUnknown(chi, chi, f"value certified, lifted size function "
                               f"unverified: {exc}")
     return SumChoiceRecord(chi, gb, chi == gb, f, rho_val, tau_field,
-                           method="rho-tau", rho_vertex=rho_vertex, transcript=t)
+                           method="rho-tau", rho_vertex=rho_vertex)
 
 
 def _lift_rho_function(g: Graph, vertex: int, memo: MemoStore,

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from sumchoice.cli import main
 
@@ -50,6 +53,24 @@ class TestChiSc:
         code, out, _ = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
         assert code == 0
         assert "chi_sc = 6" in out
+
+    def test_jobs_match_serial(self, capsys):
+        fields = ("chi_sc", "optimal_f", "rho", "tau")
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "chi-sc", "--family", "wheel:4",
+                               "--jobs", jobs, "--json")
+            assert code == 0
+            outs.append([json.loads(out)[k] for k in fields])
+        assert outs[0] == outs[1] == [12, [3, 2, 2, 2, 3], 13, 12]
+
+    def test_jobs_honour_the_budget(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "chi-sc", "--family",
+                           "product:complete:2,complete:3", "--jobs", "2",
+                           "--budget", "1", "--json")
+        assert code == 3 and json.loads(out)["unknown"] is True
+        assert time.monotonic() - start < 1 + 2
 
     def test_corrupt_memo_line_exits_2(self, capsys, tmp_path):
         cache = tmp_path / "memo.jsonl"
@@ -128,3 +149,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "four-vertex")
         assert code == 0
         assert "[literature]" in out and "PASS" in out
+
+
+class TestLimits:
+    @pytest.mark.parametrize("argv", [
+        ("chi-sc", "--family", "cycle:4", "--jobs", "0"),
+        ("chi-sc", "--family", "cycle:4", "--budget", "nan"),
+        ("chi-sc", "--family", "cycle:4", "--budget", "-1"),
+        ("choosable", "--family", "cycle:4", "--sizes", "2,2,2,2", "--budget", "nan"),
+        ("choosable", "--family", "cycle:4", "--sizes", "2,2,2,2", "--budget", "-1"),
+        ("verify", "four-vertex", "--jobs", "0"),
+        ("verify", "four-vertex", "--budget", "nan"),
+        ("verify", "four-vertex", "--budget", "-1"),
+    ])
+    def test_bad_jobs_or_budget_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --") and "Traceback" not in err

@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from sumchoice import sumnumber
 from sumchoice import (
     Budget, ChiUnknown, Choosable, INFINITY, MemoStore, SumChoiceRecord,
     canonical_form, chi_sc, classify_minimally_not_sc_greedy, closed_form,
@@ -20,6 +23,39 @@ def record(g, memo, budget=None, **kw):
     out = chi_sc(g, memo, budget, **kw)
     assert isinstance(out, SumChoiceRecord), out
     return out
+
+
+def tau_checks(monkeypatch) -> list[list[tuple[int, object]]]:
+    """Spy on sumnumber: one list per tau call, holding the (size, verdict)
+    of each candidate that call checked, in order."""
+    runs: list[list[tuple[int, object]]] = []
+    in_tau = [False]
+    real_tau, real_check = sumnumber.tau, sumnumber.is_choosable
+
+    def spy_tau(*args, **kwargs):
+        runs.append([])
+        in_tau[0] = True
+        try:
+            return real_tau(*args, **kwargs)
+        finally:
+            in_tau[0] = False
+
+    def spy_check(g, f, budget=None):
+        verdict = real_check(g, f, budget)
+        if in_tau[0]:
+            runs[-1].append((sum(f), verdict))
+        return verdict
+
+    monkeypatch.setattr(sumnumber, "tau", spy_tau)
+    monkeypatch.setattr(sumnumber, "is_choosable", spy_check)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def pool():
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
+        yield executor
 
 
 class TestGreedyBound:
@@ -57,6 +93,41 @@ class TestTau:
 
     def test_capped_out(self):
         assert tau(generate(Cycle(4)), 7).value == INFINITY
+
+    @pytest.mark.parametrize("spec", [Wheel(4), CompleteBipartite(2, 3)])
+    def test_no_check_follows_a_choosable_verdict_in_its_size(self, spec, monkeypatch):
+        runs = tau_checks(monkeypatch)
+        record(generate(spec), MemoStore())
+        assert any(runs)
+        for checks in runs:
+            settled = set()
+            for size, verdict in checks:
+                assert size not in settled, checks
+                if isinstance(verdict, Choosable):
+                    settled.add(size)
+
+    def test_w4_node_count_is_pinned(self):
+        budget = Budget()
+        rec = record(generate(Wheel(4)), MemoStore(), budget)
+        assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
+        assert budget.nodes == 30811
+
+
+class TestTauPool:
+    @pytest.mark.parametrize("spec", [Cycle(4), CompleteBipartite(2, 3), Wheel(4)])
+    def test_matches_serial(self, spec, pool):
+        g = generate(spec)
+        serial = tau(g, greedy_bound(g))
+        pooled = tau(g, greedy_bound(g), Budget(), pool=pool)
+        assert pooled.value == serial.value != INFINITY
+        assert pooled.choice_function == serial.choice_function
+
+    def test_node_limit_reaches_the_workers(self, pool):
+        g = generate(Wheel(4))
+        budget = Budget(node_limit=1000)
+        out = tau(g, greedy_bound(g), budget, pool=pool)
+        assert out.unknown and out.lower_bound <= 12
+        assert budget.nodes > 1000
 
 
 class TestRho:
