@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .choosability import Budget, Choosable, UnknownVerdict, is_choosable
 from .errors import SumChoiceError
@@ -61,14 +60,7 @@ def cmd_chi_sc(args) -> int:
     memo = MemoStore(_cache_path(args))
     budget = Budget.of(seconds=args.budget)
     start = time.monotonic()
-    pool = None
-    try:
-        if args.jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=args.jobs)
-        out = chi_sc(g, memo, budget, pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    out = chi_sc(g, memo, budget)
     elapsed = time.monotonic() - start
     if isinstance(out, ChiUnknown):
         payload = {"unknown": True, "lower": out.lower, "upper": out.upper,
@@ -168,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi-sc", help="compute the sum choice number")
     _add_graph_source(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", default=None,
                    help="JSON-lines memo cache (default: $SUMCHOICE_CACHE)")
     p.add_argument("--budget", type=float, default=600.0,

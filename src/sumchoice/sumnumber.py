@@ -25,7 +25,6 @@ import json
 import math
 import os
 import threading
-from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
 
@@ -247,8 +246,7 @@ class TauResult:
     lower_bound: int = 0  # every non-simple size below this is not choosable
 
 
-def tau(g: Graph, cap: int | float, budget: Budget | None = None,
-        pool=None) -> TauResult:
+def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> TauResult:
     """Minimum size of a choosable size function with 2 <= f(v) <= deg(v)
     for every vertex, searched in nondecreasing total size up to ``cap``
     (lexicographic within one size).  INFINITY if none exists at <= cap or
@@ -257,13 +255,6 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     The candidates of one size are checked one at a time, in order, and the
     first Choosable or Unknown verdict settles the size: no later candidate
     is checked.
-
-    ``pool``: optional concurrent.futures executor.  The candidates of one
-    size are then submitted together and their verdicts read in candidate
-    order, so the result is identical to the serial run; once a verdict
-    settles the size, the checks the pool has not taken up are cancelled.
-    Each check gets the budget's deadline and the node limit it has left,
-    and the nodes of every verdict read are added to ``budget``.
     """
     degs = [g.degree(v) for v in range(g.n)]
     if g.n == 0 or min(degs) < 2:
@@ -271,40 +262,18 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
     for total in range(2 * g.n, hi + 1):
-        candidates = bounded_sum_vectors(lows, degs, total)
-        if pool is None:
-            verdicts = ((f, is_choosable(g, f, budget)) for f in candidates)
-        else:
-            verdicts = _pool_verdicts(pool, g, candidates, budget)
-        with closing(verdicts):
-            for f, verdict in verdicts:
-                if isinstance(verdict, UnknownVerdict):
-                    return TauResult(INFINITY, None, unknown=True, lower_bound=total)
-                if isinstance(verdict, Choosable):
-                    return TauResult(total, f, lower_bound=total)
+        for f in bounded_sum_vectors(lows, degs, total):
+            verdict = is_choosable(g, f, budget)
+            if isinstance(verdict, UnknownVerdict):
+                return TauResult(INFINITY, None, unknown=True, lower_bound=total)
+            if isinstance(verdict, Choosable):
+                return TauResult(total, f, lower_bound=total)
         if budget is not None:
             try:
                 budget.check("size-function search")
             except SearchBudgetExceeded:
                 return TauResult(INFINITY, None, unknown=True, lower_bound=total + 1)
     return TauResult(INFINITY, None, lower_bound=hi + 1)
-
-
-def _pool_verdicts(pool, g: Graph, candidates: Iterator[SizeFunction],
-                   budget: Budget | None) -> Iterator[tuple[SizeFunction, object]]:
-    """(f, verdict) for each candidate in order, checked in ``pool``.
-    Closing the generator cancels the checks the pool has not taken up."""
-    left = replace(budget) if budget is not None else None  # limits and use so far
-    futures = [(f, pool.submit(is_choosable, g, f, left)) for f in candidates]
-    try:
-        for f, future in futures:
-            verdict = future.result()
-            if budget is not None:
-                budget.add_nodes(verdict.nodes)
-            yield f, verdict
-    finally:
-        for _, future in futures:
-            future.cancel()
 
 
 @dataclass
@@ -366,8 +335,7 @@ def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
 
 
 def chi_sc(g: Graph, memo: MemoStore | None = None,
-           budget: Budget | None = None, *, use_blocks: bool = True,
-           pool=None) -> ChiOutcome:
+           budget: Budget | None = None, *, use_blocks: bool = True) -> ChiOutcome:
     """Exact sum choice number with a verified optimal size function.
 
     Decomposes over connected components (values add) and blocks
@@ -391,13 +359,13 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
 
     comps = g.component_masks()
     if len(comps) > 1:
-        outcome = _chi_components(g, comps, memo, budget, pool)
+        outcome = _chi_components(g, comps, memo, budget)
     else:
         blks, _cuts = blocks(g) if use_blocks else ([tuple(range(g.n))], ())
         if len(blks) > 1:
-            outcome = _chi_blocks(g, blks, memo, budget, pool)
+            outcome = _chi_blocks(g, blks, memo, budget)
         else:
-            outcome = _chi_base(g, memo, budget, pool)
+            outcome = _chi_base(g, memo, budget)
 
     if isinstance(outcome, SumChoiceRecord):
         if outcome.chi_sc > gb:
@@ -407,7 +375,7 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     return outcome
 
 
-def _chi_components(g, comps, memo, budget, pool) -> ChiOutcome:
+def _chi_components(g, comps, memo, budget) -> ChiOutcome:
     total = 0
     lower = 0
     sc = True
@@ -416,7 +384,7 @@ def _chi_components(g, comps, memo, budget, pool) -> ChiOutcome:
     for mask in comps:
         verts = list(iter_bits(mask))
         sub = induced_subgraph(g, verts)
-        out = chi_sc(sub, memo, budget, pool=pool)
+        out = chi_sc(sub, memo, budget)
         if isinstance(out, ChiUnknown):
             unknown = True
             lower += out.lower
@@ -432,7 +400,7 @@ def _chi_components(g, comps, memo, budget, pool) -> ChiOutcome:
                            tuple(f), None, None, method="components")
 
 
-def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
+def _chi_blocks(g, blks, memo, budget) -> ChiOutcome:
     """sum of block values minus (number of blocks - 1); the combined size
     function spends one list slot per extra block at each cut vertex."""
     total = 0
@@ -442,7 +410,7 @@ def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
     seen_count = [0] * g.n
     for blk in blks:
         sub = induced_subgraph(g, blk)
-        out = chi_sc(sub, memo, budget, pool=pool)
+        out = chi_sc(sub, memo, budget)
         if isinstance(out, ChiUnknown):
             unknown = True
             lower += out.lower - 1
@@ -468,7 +436,7 @@ def _chi_blocks(g, blks, memo, budget, pool) -> ChiOutcome:
     return SumChoiceRecord(chi, gb, chi == gb, fr, None, None, method="blocks")
 
 
-def _chi_base(g, memo, budget, pool) -> ChiOutcome:
+def _chi_base(g, memo, budget) -> ChiOutcome:
     gb = greedy_bound(g)
     rho_res = rho(g, memo, budget)
     if rho_res.unknown:
@@ -478,7 +446,7 @@ def _chi_base(g, memo, budget, pool) -> ChiOutcome:
         return ChiUnknown(max(g.n, floor), gb,
                           "vertex-deletion recursion hit the budget")
     rho_val = rho_res.value
-    tau_res = tau(g, rho_val - 1, budget, pool=pool)
+    tau_res = tau(g, rho_val - 1, budget)
     if tau_res.unknown:
         lower = min(int(rho_val) if rho_val != INFINITY else gb,
                     tau_res.lower_bound)

@@ -54,20 +54,10 @@ class TestChiSc:
         assert code == 0
         assert "chi_sc = 6" in out
 
-    def test_jobs_match_serial(self, capsys):
-        fields = ("chi_sc", "optimal_f", "rho", "tau")
-        outs = []
-        for jobs in ("1", "2"):
-            code, out, _ = run(capsys, "chi-sc", "--family", "wheel:4",
-                               "--jobs", jobs, "--json")
-            assert code == 0
-            outs.append([json.loads(out)[k] for k in fields])
-        assert outs[0] == outs[1] == [12, [3, 2, 2, 2, 3], 13, 12]
-
-    def test_jobs_honour_the_budget(self, capsys):
+    def test_budget_stops_the_prism(self, capsys):
         start = time.monotonic()
         code, out, _ = run(capsys, "chi-sc", "--family",
-                           "product:complete:2,complete:3", "--jobs", "2",
+                           "product:complete:2,complete:3",
                            "--budget", "1", "--json")
         assert code == 3 and json.loads(out)["unknown"] is True
         assert time.monotonic() - start < 1 + 2
@@ -153,7 +143,6 @@ class TestVerify:
 
 class TestLimits:
     @pytest.mark.parametrize("argv", [
-        ("chi-sc", "--family", "cycle:4", "--jobs", "0"),
         ("chi-sc", "--family", "cycle:4", "--budget", "nan"),
         ("chi-sc", "--family", "cycle:4", "--budget", "-1"),
         ("choosable", "--family", "cycle:4", "--sizes", "2,2,2,2", "--budget", "nan"),

@@ -1,7 +1,5 @@
 import json
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -49,13 +47,6 @@ def tau_checks(monkeypatch) -> list[list[tuple[int, object]]]:
     monkeypatch.setattr(sumnumber, "tau", spy_tau)
     monkeypatch.setattr(sumnumber, "is_choosable", spy_check)
     return runs
-
-
-@pytest.fixture(scope="module")
-def pool():
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=2, mp_context=context) as executor:
-        yield executor
 
 
 class TestGreedyBound:
@@ -111,23 +102,6 @@ class TestTau:
         rec = record(generate(Wheel(4)), MemoStore(), budget)
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
         assert budget.nodes == 30811
-
-
-class TestTauPool:
-    @pytest.mark.parametrize("spec", [Cycle(4), CompleteBipartite(2, 3), Wheel(4)])
-    def test_matches_serial(self, spec, pool):
-        g = generate(spec)
-        serial = tau(g, greedy_bound(g))
-        pooled = tau(g, greedy_bound(g), Budget(), pool=pool)
-        assert pooled.value == serial.value != INFINITY
-        assert pooled.choice_function == serial.choice_function
-
-    def test_node_limit_reaches_the_workers(self, pool):
-        g = generate(Wheel(4))
-        budget = Budget(node_limit=1000)
-        out = tau(g, greedy_bound(g), budget, pool=pool)
-        assert out.unknown and out.lower_bound <= 12
-        assert budget.nodes > 1000
 
 
 class TestRho:
