@@ -369,10 +369,18 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
 def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lexicographically smallest adjacency rows over all relabelings
     consistent with iterated refinement (exact: ties are fully searched),
-    plus the permutation (old vertex -> new position) achieving them."""
+    plus the permutation (old vertex -> new position) achieving them.
+
+    A leaf whose rows tie the best so far yields an automorphism, and the
+    search skips a child that one of them, fixing the node's individualized
+    vertices pointwise, maps from an explored sibling: its leaves repeat
+    that sibling's rows. The first smallest leaf in search order is never
+    skipped, so rows and permutation are those of the full search, and the
+    cost no longer grows with |Aut(G)|."""
     n = g.n
     best: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] = ()
+    automorphisms: list[tuple[int, ...]] = []
 
     def leaf(colors: list[int]) -> None:
         nonlocal best, best_perm
@@ -389,8 +397,15 @@ def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if best is None or cand < best:
             best = cand
             best_perm = tuple(perm)
+        elif cand == best:
+            # g.relabel(perm) == g.relabel(best_perm), so best_perm^-1 o perm
+            # maps g onto itself.
+            inverse = [0] * n
+            for v, pos in enumerate(best_perm):
+                inverse[pos] = v
+            automorphisms.append(tuple(inverse[pos] for pos in perm))
 
-    def search(colors: list[int]) -> None:
+    def search(colors: list[int], fixed: list[int]) -> None:
         colors = _refine(g, colors)
         cells: dict[int, list[int]] = {}
         for v in range(n):
@@ -403,14 +418,33 @@ def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if target is None:
             leaf(colors)
             return
+        # Union-find over the target cell: an automorphism fixing `fixed`
+        # pointwise fixes this node, so it maps the cell onto itself.
+        root = {v: v for v in target}
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        used = 0
+        explored: list[int] = []
         for v in target:
+            for gamma in automorphisms[used:]:
+                if all(gamma[u] == u for u in fixed):
+                    for u in target:
+                        root[find(u)] = find(gamma[u])
+            used = len(automorphisms)
+            if any(find(u) == find(v) for u in explored):
+                continue
+            explored.append(v)
             branched = [2 * c for c in colors]
             branched[v] -= 1
-            search(branched)
+            search(branched, fixed + [v])
 
     if n == 0:
         return (), ()
-    search([0] * n)
+    search([0] * n, [])
     assert best is not None
     return best, best_perm
 

@@ -1,13 +1,84 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumchoice import (
     CapacityError, canonical_form, canonical_form_and_permutation, empty_graph,
-    enumerate_connected_graphs, generate, parse_graph6,
+    encode_graph6, enumerate_connected_graphs, generate, parse_graph6,
 )
-from sumchoice.families import Cycle, Path
+from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
+from sumchoice.graphs import Graph, iter_bits
 
 from conftest import graph_from_mask, perm_orbit_min, vertex_pairs
+
+
+def _reference_refine(g: Graph, colors: list[int]) -> list[int]:
+    n = g.n
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr = sorted(colors[u] for u in iter_bits(g.adj[v]))
+            sigs.append((colors[v], tuple(nbr)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical(g: Graph) -> tuple[str, tuple[int, ...]]:
+    """The search with no automorphism pruning: one leaf per automorphism,
+    first smallest leaf in depth-first order wins. Returns (key, perm)."""
+    n = g.n
+    best: tuple[int, ...] | None = None
+    best_perm: tuple[int, ...] = ()
+
+    def leaf(colors: list[int]) -> None:
+        nonlocal best, best_perm
+        perm = [0] * n
+        for pos, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
+            perm[v] = pos
+        rows = [0] * n
+        for v in range(n):
+            acc = 0
+            for u in iter_bits(g.adj[v]):
+                acc |= 1 << perm[u]
+            rows[perm[v]] = acc
+        cand = tuple(rows)
+        if best is None or cand < best:
+            best = cand
+            best_perm = tuple(perm)
+
+    def search(colors: list[int]) -> None:
+        colors = _reference_refine(g, colors)
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            leaf(colors)
+            return
+        for v in target:
+            branched = [2 * c for c in colors]
+            branched[v] -= 1
+            search(branched)
+
+    if n == 0:
+        return encode_graph6(g), ()
+    search([0] * n)
+    return encode_graph6(Graph(n, best)), best_perm
+
+
+def assert_matches_reference(g: Graph) -> None:
+    key, perm = canonical_form_and_permutation(g)
+    assert (key, perm) == reference_canonical(g)
+    assert parse_graph6(key).adj == g.relabel(perm).adj
 
 
 def test_isomorphic_labelings_share_keys():
@@ -80,3 +151,59 @@ def test_enumeration_matches_known_six_vertex_count():
 def test_enumeration_capacity():
     with pytest.raises(CapacityError):
         list(enumerate_connected_graphs(8))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_every_labeled_graph_matches_reference(n):
+    pairs = vertex_pairs(n)
+    for mask in range(1 << len(pairs)):
+        assert_matches_reference(graph_from_mask(n, mask, pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drawn_graphs_match_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    pairs = vertex_pairs(n)
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    assert_matches_reference(graph_from_mask(n, mask, pairs))
+
+
+@pytest.mark.parametrize("spec", [
+    Cycle(8), CompleteBipartite(2, 4), CompleteBipartite(3, 3),
+    CompleteBipartite(1, 6), Wheel(5),
+], ids=str)
+def test_symmetric_relabelings_match_reference(spec):
+    g = generate(spec)
+    rng = random.Random(g.n)
+    for _ in range(4):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert_matches_reference(g.relabel(perm))
+
+
+def test_representatives_are_reference_canonical_forms():
+    # A list with one representative per class, each its own canonical form,
+    # in key order, is exactly the list the unpruned search builds.
+    for n in range(1, 8):
+        reps = list(enumerate_connected_graphs(n))
+        keys = [reference_canonical(g)[0] for g in reps]
+        assert [parse_graph6(k).adj for k in keys] == [g.adj for g in reps]
+        assert keys == sorted(set(keys))
+    assert len(reps) == 853
+
+
+def test_symmetry_does_not_cost():
+    # Without pruning these take about 70 s: one leaf per automorphism
+    # (9! for K1,9, 2 * 5!^2 for K5,5, 8! for K8).
+    rng = random.Random(1)
+    elapsed = 0.0
+    for spec in (CompleteBipartite(1, 9), CompleteBipartite(5, 5), Complete(8)):
+        g = generate(spec)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        start = time.perf_counter()
+        keys = canonical_form(g), canonical_form(g.relabel(perm))
+        elapsed += time.perf_counter() - start
+        assert keys[0] == keys[1]
+    assert elapsed < 1.0

@@ -62,6 +62,15 @@ class TestChiSc:
         assert code == 3 and json.loads(out)["unknown"] is True
         assert time.monotonic() - start < 1 + 2
 
+    def test_budget_holds_on_a_symmetric_star(self, capsys):
+        # Canonical labeling runs before any budget check; K1,9 has 9!
+        # automorphisms, one search leaf each without orbit pruning.
+        start = time.monotonic()
+        code, out, _ = run(capsys, "chi-sc", "--family", "bipartite:1,9",
+                           "--budget", "1", "--json")
+        assert code == 0 and json.loads(out)["chi_sc"] == 19
+        assert time.monotonic() - start < 1 + 2
+
     def test_corrupt_memo_line_exits_2(self, capsys, tmp_path):
         cache = tmp_path / "memo.jsonl"
         run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
