@@ -20,6 +20,13 @@ can no longer end up connected in the graph; an uncolorable assignment can
 always be rewritten, by splitting a disconnected color class into two
 colors, into an uncolorable assignment whose classes are all connected, so
 the restricted sweep still certifies choosability.
+
+Each node's work is incremental.  Every level keeps one coloring of its
+prefix, and a child first tries to extend it to the new vertex, an O(deg)
+test, before it scans the prefix cache or calls the solver.  With
+``conn_prune`` on, every level also keeps its prefix's color class masks; a
+child adds the new vertex to the classes of its list and re-checks only the
+classes that hold or touch it.
 """
 
 from __future__ import annotations
@@ -82,53 +89,51 @@ def _neighborhood(adj: list[int], vertex_mask: int) -> int:
     return nbr
 
 
-def _class_masks(lists: list[int], upto: int, n_colors: int) -> list[int]:
-    """Per color, the mask of vertices 0..upto whose list holds it."""
-    classes = [0] * n_colors
-    for v in range(upto + 1):
-        row = lists[v]
-        while row:
-            low = row & -row
-            row ^= low
-            classes[low.bit_length() - 1] |= 1 << v
-    return classes
-
-
-def _classes_ok(adj: list[int], lists: list[int], level: int, u_after: int,
+def _classes_ok(adj: list[int], classes: list[int], near: int,
                 future: int) -> bool:
-    """False when some color class on vertices 0..level has a component
-    that is separated from the rest and cannot reach any future vertex."""
-    for mask in _class_masks(lists, level, u_after):
+    """False when some color class that holds or touches the new vertex
+    (``near`` is its bit and its neighbours) has a component that is
+    separated from the rest and cannot reach any future vertex.
+
+    Checking only those classes is exact when the parent prefix passed: any
+    other class has the same components and the same reach into the future
+    vertices as at the parent."""
+    for mask in classes:
+        if not mask & near:
+            continue
         remaining = mask
         ncomp = 0
         frozen = False
         while remaining:
-            comp = remaining & -remaining
-            while True:
-                nbr = _neighborhood(adj, comp)
-                grown = comp | (nbr & mask)
-                if grown == comp:
-                    break
-                comp = grown
+            # flood one component out of ``remaining``, each vertex once
+            frontier = remaining & -remaining
+            remaining ^= frontier
+            nbr = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                row = adj[low.bit_length() - 1]
+                nbr |= row
+                grown = row & remaining
+                if grown:
+                    remaining ^= grown
+                    frontier |= grown
             ncomp += 1
             if not nbr & future:
                 frozen = True
-            remaining ^= comp
         if ncomp >= 2 and frozen:
             return False
     return True
 
 
-def _allowed_old_colors(adj: list[int], lists: list[int], level: int, u: int,
-                        future: int, conn_prune: bool) -> list[int]:
-    """Old colors that may still enter the list of ``level`` without dooming
-    class connectivity; all of 0..u-1 when pruning is off."""
-    if not conn_prune:
-        return list(range(u))
+def _allowed_old_colors(adj: list[int], classes: list[int], level: int,
+                        future: int) -> list[int]:
+    """Old colors, given the class masks of vertices 0..level-1, that may
+    still enter the list of ``level`` without dooming class connectivity."""
     adj_i = adj[level]
     i_touches_future = bool(adj_i & future)
     allowed = []
-    for x, mask in enumerate(_class_masks(lists, level - 1, u)):
+    for x, mask in enumerate(classes):
         if adj_i & mask or (i_touches_future and _neighborhood(adj, mask) & future):
             allowed.append(x)
     return allowed
@@ -152,12 +157,24 @@ class SweepState:
     """Resumable DFS over canonical list assignments.
 
     Probes every prefix for colorability; an uncolorable prefix is completed
-    with arbitrary valid lists into a witness.  Colorable prefixes go into a
-    ring cache of CACHE_SIZE colorings, which later prefixes are checked
-    against before the solver is called.
+    with arbitrary valid lists into a witness.  Each prefix is probed in
+    three steps, cheapest first:
+
+    1. the parent prefix's coloring, kept per level, is extended to the new
+       vertex if a color of its list is free among its earlier neighbours;
+    2. else a ring cache of CACHE_SIZE solver colorings is scanned for one
+       that reaches past this prefix and fits its lists;
+    3. else the solver colors the prefix from scratch, and its coloring
+       enters the cache.
+
+    The coloring found becomes the prefix's own, for its children.  With
+    ``conn_prune`` on, the color class masks of each prefix are kept per
+    level too: a child's are its parent's plus the new vertex in each color
+    of its list, so neither the prune nor the old-color filter rebuilds
+    them.
 
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
-    3 cache hits.
+    3 prefixes shown colorable without the solver (by step 1 or 2).
     """
 
     CACHE_SIZE = 64
@@ -172,11 +189,18 @@ class SweepState:
         self.conn_prune = conn_prune
         self.lists = [0] * m
         self.color_of = [0] * m
+        # per vertex, its neighbours earlier in the order
+        self.earlier = [[u for u in range(v) if adj_masks[v] >> u & 1]
+                        for v in range(m)]
         # per level, the iterator over that vertex's remaining options
         self.options = [iter(())] * m
         if m:
             self.options[0] = _options(self.f[0], [], 0, self.u_cap)
         self.level = 0
+        # entry j: a coloring (color bit per vertex) of the prefix of the
+        # first j vertices, and per color its class mask on that prefix
+        self.colorings: list[tuple[int, ...]] = [()] * (m + 1)
+        self.classes: list[list[int]] = [[]] * (m + 1)
         # ring cache of colorable prefixes: (prefix length, color bit per vertex)
         self.cache: list[tuple[int, tuple[int, ...]]] = []
         self.cache_pos = 0
@@ -187,6 +211,8 @@ class SweepState:
         SWEEP_WITNESS or SWEEP_PAUSED (call again to resume)."""
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
         counters, cache = self.counters, self.cache
+        colorings, classes, earlier = self.colorings, self.classes, self.earlier
+        conn_prune = self.conn_prune
         full = (1 << m) - 1
         level = self.level
         nodes_here = 0
@@ -201,36 +227,64 @@ class SweepState:
             if option is None:
                 level -= 1
                 continue
-            lists[level], u_after = option
+            row, u_after = option
+            lists[level] = row
             nodes_here += 1
             counters[0] += 1
-            prefix = (1 << (level + 1)) - 1
+            bit = 1 << level
+            prefix = (bit << 1) - 1
             future = full ^ prefix
-            if self.conn_prune and not _classes_ok(adj, lists, level, u_after, future):
-                continue
-            # cache hit: a stored coloring reaches past this prefix and fits its lists
-            head = lists[:level + 1]
-            if any(plen > level and all(map(and_, head, bits)) for plen, bits in cache):
+            if conn_prune:
+                held = classes[level]
+                masks = held + [0] * (u_after - len(held))
+                rest = row
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    masks[low.bit_length() - 1] |= bit
+                if not _classes_ok(adj, masks, adj[level] | bit, future):
+                    continue
+                classes[level + 1] = masks
+            # the parent's coloring extends if a color of the list is free
+            coloring = colorings[level]
+            forb = 0
+            for u in earlier[level]:
+                forb |= coloring[u]
+            free = row & ~forb
+            if free:
                 counters[3] += 1
+                colorings[level + 1] = coloring[:level] + (free & -free,)
             else:
-                counters[2] += 1
-                if not _solve_lists(adj, lists, prefix, 0, self.color_of):
-                    for j in range(level + 1, m):
-                        lists[j] = (1 << f[j]) - 1
-                    self.level = level
-                    return SWEEP_WITNESS
-                entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
-                if len(cache) < self.CACHE_SIZE:
-                    cache.append(entry)
+                # cache hit: a stored coloring reaches past this prefix and fits its lists
+                head = lists[:level + 1]
+                for plen, bits in cache:
+                    if plen > level and all(map(and_, head, bits)):
+                        counters[3] += 1
+                        colorings[level + 1] = bits
+                        break
                 else:
-                    cache[self.cache_pos] = entry
-                self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
+                    counters[2] += 1
+                    if not _solve_lists(adj, lists, prefix, 0, self.color_of):
+                        for j in range(level + 1, m):
+                            lists[j] = (1 << f[j]) - 1
+                        self.level = level
+                        return SWEEP_WITNESS
+                    entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
+                    colorings[level + 1] = entry[1]
+                    if len(cache) < self.CACHE_SIZE:
+                        cache.append(entry)
+                    else:
+                        cache[self.cache_pos] = entry
+                    self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
             if level == m - 1:
                 counters[1] += 1
                 continue
             level += 1
-            allowed = _allowed_old_colors(adj, lists, level, u_after,
-                                          future ^ (1 << level), self.conn_prune)
+            if conn_prune:
+                allowed = _allowed_old_colors(adj, classes[level], level,
+                                              future ^ (1 << level))
+            else:
+                allowed = list(range(u_after))
             self.options[level] = _options(f[level], allowed, u_after, self.u_cap)
 
     @property

@@ -31,7 +31,7 @@ def _workloads():
 
     def sweep_k23():
         verdict = is_choosable(generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2))
-        return verdict.assignments_examined
+        return type(verdict).__name__, getattr(verdict, "assignments_examined", None)
 
     def chi_w4():
         return chi_sc(generate(Wheel(4)), MemoStore()).chi_sc
@@ -41,7 +41,7 @@ def _workloads():
 
     return [
         ("list-coloring solver x400", solver_micro, colorable),
-        ("choosability sweep K23 f=2", sweep_k23, None),
+        ("choosability sweep K23 f=2", sweep_k23, ("Choosable", 1794)),
         ("chi_sc wheel W4", chi_w4, 12),
         ("chi_sc path of cycles 4,5", chi_path_of_cycles, 15),
     ]
@@ -53,7 +53,7 @@ def run_bench() -> list[dict]:
         t0 = time.perf_counter()
         value = fn()
         elapsed = time.perf_counter() - t0
-        if expect is not None and value != expect:
+        if value != expect:
             raise AssertionError(f"{name}: got {value}, expected {expect}")
         results.append({"name": name, "seconds": elapsed})
     return results

@@ -1,11 +1,23 @@
 """Kernel-level checks: the solver must agree with brute force on any color
-values, the sweep must match the reference enumeration, and the verdicts and
+values, the sweep must match the reference enumeration and a reference copy
+of the kernel that rebuilds its state at every node, and the verdicts and
 search counts of a few fixed cases are pinned."""
 
 import itertools
 import random
+from operator import and_
 
-from sumchoice import Choosable, NotChoosable, canonical_assignments, generate, is_choosable
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from sumchoice import (
+    Choosable, NotChoosable, canonical_assignments, enumerate_connected_graphs,
+    generate, is_choosable,
+)
+from sumchoice import _kernels
+from sumchoice._kernels import (
+    SWEEP_DONE, SWEEP_PAUSED, SWEEP_WITNESS, SweepState, _options, _solve_lists,
+)
 from sumchoice.choosability import (
     _bfs_order, _run_sweep, all_proper_colorings, is_list_colorable,
 )
@@ -102,24 +114,220 @@ def test_conn_prune_does_not_change_verdicts():
         assert isinstance(a, Choosable) == isinstance(b, Choosable)
 
 
-# verdict, assignments_examined and nodes of a few fixed cases
+# verdict, assignments_examined, nodes and summed solver calls of a few
+# fixed cases; the solver calls drop if a prefix stops trying its parent's
+# coloring before the cache scan and the solver
 PINNED = {
-    "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 180, 383),
-    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 1794, 5056),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 21014, 30705),
-    "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3),
+    "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 180, 383, 16),
+    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 1794, 5056,
+             82),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 21014, 30705, 224),
+    "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
 }
 
 
-def test_pinned_verdicts_and_counts():
-    for name, (g, f, verdict, assignments, nodes) in PINNED.items():
+def test_pinned_verdicts_and_counts(monkeypatch):
+    states = []
+
+    class Recorded(SweepState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(_kernels, "SweepState", Recorded)
+    for name, (g, f, verdict, assignments, nodes, solver_calls) in PINNED.items():
+        states.clear()
         v = is_choosable(g, f)
         assert type(v) is verdict, name
         assert v.nodes == nodes, name
         if verdict is Choosable:
             assert v.assignments_examined == assignments, name
+        if solver_calls is not None:
+            assert sum(state.counters[2] for state in states) == solver_calls, name
     assert is_choosable(*PINNED["K3"][:2]).witness == ((0, 1), (0, 1), (0, 1))
+
+
+# --- the kernel as it was before its per-node state was carried down the
+# search: every node rebuilds the class masks from the lists and scans the
+# cache before the solver.  It shares the option order and the solver with
+# the kernel, so it pins the node order, prune decisions and witnesses.
+
+def _reference_neighborhood(adj, vertex_mask):
+    nbr = 0
+    for v in iter_bits(vertex_mask):
+        nbr |= adj[v]
+    return nbr
+
+
+def _reference_class_masks(lists, upto, n_colors):
+    classes = [0] * n_colors
+    for v in range(upto + 1):
+        for c in iter_bits(lists[v]):
+            classes[c] |= 1 << v
+    return classes
+
+
+def _reference_classes_ok(adj, lists, level, u_after, future):
+    for mask in _reference_class_masks(lists, level, u_after):
+        remaining = mask
+        ncomp = 0
+        frozen = False
+        while remaining:
+            comp = remaining & -remaining
+            while True:
+                nbr = _reference_neighborhood(adj, comp)
+                grown = comp | (nbr & mask)
+                if grown == comp:
+                    break
+                comp = grown
+            ncomp += 1
+            if not nbr & future:
+                frozen = True
+            remaining ^= comp
+        if ncomp >= 2 and frozen:
+            return False
+    return True
+
+
+def _reference_allowed_old_colors(adj, lists, level, u, future, conn_prune):
+    if not conn_prune:
+        return list(range(u))
+    adj_i = adj[level]
+    i_touches_future = bool(adj_i & future)
+    return [x for x, mask in enumerate(_reference_class_masks(lists, level - 1, u))
+            if adj_i & mask
+            or (i_touches_future and _reference_neighborhood(adj, mask) & future)]
+
+
+class ReferenceSweep:
+    """counters: 0 nodes, 1 assignments, 2 solver calls, 3 cache hits."""
+
+    CACHE_SIZE = 64
+
+    def __init__(self, adj, sizes, u_cap, conn_prune):
+        m = len(sizes)
+        self.m, self.adj, self.f = m, list(adj), list(sizes)
+        self.u_cap = min(u_cap, sum(sizes))
+        self.conn_prune = conn_prune
+        self.lists = [0] * m
+        self.color_of = [0] * m
+        self.options = [iter(())] * m
+        if m:
+            self.options[0] = _options(self.f[0], [], 0, self.u_cap)
+        self.level = 0
+        self.cache = []
+        self.cache_pos = 0
+        self.counters = [0, 0, 0, 0]
+
+    def run(self, node_budget):
+        m, adj, f, lists = self.m, self.adj, self.f, self.lists
+        counters, cache = self.counters, self.cache
+        full = (1 << m) - 1
+        level = self.level
+        nodes_here = 0
+        while True:
+            if level < 0:
+                self.level = level
+                return SWEEP_DONE
+            if nodes_here >= node_budget:
+                self.level = level
+                return SWEEP_PAUSED
+            option = next(self.options[level], None)
+            if option is None:
+                level -= 1
+                continue
+            lists[level], u_after = option
+            nodes_here += 1
+            counters[0] += 1
+            prefix = (1 << (level + 1)) - 1
+            future = full ^ prefix
+            if self.conn_prune and not _reference_classes_ok(adj, lists, level, u_after,
+                                                             future):
+                continue
+            head = lists[:level + 1]
+            if any(plen > level and all(map(and_, head, bits)) for plen, bits in cache):
+                counters[3] += 1
+            else:
+                counters[2] += 1
+                if not _solve_lists(adj, lists, prefix, 0, self.color_of):
+                    for j in range(level + 1, m):
+                        lists[j] = (1 << f[j]) - 1
+                    self.level = level
+                    return SWEEP_WITNESS
+                entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
+                if len(cache) < self.CACHE_SIZE:
+                    cache.append(entry)
+                else:
+                    cache[self.cache_pos] = entry
+                self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
+            if level == m - 1:
+                counters[1] += 1
+                continue
+            level += 1
+            allowed = _reference_allowed_old_colors(adj, lists, level, u_after,
+                                                    future ^ (1 << level), self.conn_prune)
+            self.options[level] = _options(f[level], allowed, u_after, self.u_cap)
+
+
+def _sweep_input(g):
+    order = _bfs_order(g, (1 << g.n) - 1)
+    return _relabel_adj(g, order), order
+
+
+def _caps(sizes):
+    # the heuristic pass's small universe, when it is smaller, and the full one
+    total = sum(sizes)
+    return sorted({min(max(sizes) + 2, total), total})
+
+
+def _observed(state, status):
+    """Everything the search decides: its status and position, the lists,
+    nodes, assignments and prune cuts (nodes neither the solver nor a
+    shortcut settled), and the witness."""
+    c = state.counters
+    return (status, state.level, list(state.lists), c[0], c[1], c[0] - c[2] - c[3],
+            tuple(tuple(iter_bits(row)) for row in state.lists)
+            if status == SWEEP_WITNESS else None)
+
+
+def _assert_same_search(adj, sizes, cap, prune, chunk, chunks):
+    # both run in the same chunks, pausing and resuming, until they stop
+    ref = ReferenceSweep(adj, sizes, cap, prune)
+    new = SweepState(adj, sizes, cap, prune)
+    for _ in range(chunks):
+        expected = _observed(ref, ref.run(chunk))
+        assert _observed(new, new.run(chunk)) == expected, (adj, sizes, cap, prune)
+        if expected[0] == SWEEP_WITNESS:
+            assert new.witness_lists() == expected[-1]
+        if expected[0] != SWEEP_PAUSED:
+            return
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sweep_matches_reference_kernel(n):
+    # of the 240 sweeps over orders 1-5, 178 end within 3000 nodes; the
+    # rest are compared in their paused state there
+    for g in enumerate_connected_graphs(n):
+        adj, _ = _sweep_input(g)
+        degrees = [row.bit_count() for row in adj]
+        for sizes in ([2] * n, [min(3, d + 1) for d in degrees]):
+            for cap in _caps(sizes):
+                for prune in (True, False):
+                    _assert_same_search(adj, sizes, cap, prune, 1000, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_paused_sweep_matches_reference_kernel(data):
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    pairs = vertex_pairs(n)
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+    assume(g.is_connected())
+    adj, _ = _sweep_input(g)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    cap = data.draw(st.sampled_from(_caps(sizes)))
+    _assert_same_search(adj, sizes, cap, data.draw(st.booleans()), 700, 2)
 
 
 def test_bench_smoke():
