@@ -54,12 +54,10 @@ class Budget:
     def check(self, context: str = "") -> None:
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise SearchBudgetExceeded(
-                f"node limit {self.node_limit} exceeded{' in ' + context if context else ''}",
-                nodes=self.nodes, detail=context)
+                f"node limit {self.node_limit} exceeded{' in ' + context if context else ''}")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchBudgetExceeded(
-                f"deadline exceeded{' in ' + context if context else ''}",
-                nodes=self.nodes, detail=context)
+                f"deadline exceeded{' in ' + context if context else ''}")
 
 
 @dataclass(frozen=True)
@@ -315,22 +313,24 @@ def _run_sweep(adj: list[int], sizes: list[int], u_cap: int, conn_prune: bool,
 
 
 def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
-                 reduce_first: bool = True, heuristic: bool = True,
-                 conn_prune: bool = True) -> ChoosabilityVerdict:
+                 reduce_first: bool = True) -> ChoosabilityVerdict:
     """Decide whether every f-assignment of color lists is colorable.
 
     The exhaustive sweep runs over canonical assignments with sum(f) colors
     available, which is always enough.  A preliminary witness-hunting pass
     over a small universe (max list size + 2, an empirically good cap) may
     settle NotChoosable early but is never used to conclude Choosable.
+    A size of 0 gives NotChoosable; a negative size raises ValueError.
     """
     f = tuple(int(x) for x in f)
     if len(f) != g.n:
         raise ValueError(f"size function has {len(f)} entries for order {g.n}")
+    if any(x < 0 for x in f):
+        raise ValueError(f"negative list size in {f}")
     if g.n == 0:
         return Choosable(assignments_examined=0)
-    if any(x <= 0 for x in f):
-        v0 = next(v for v in range(g.n) if f[v] <= 0)
+    if 0 in f:
+        v0 = f.index(0)
         lists = _arbitrary_lists(f)
         lists[v0] = ()
         return NotChoosable(witness=tuple(lists))
@@ -366,12 +366,12 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
             comp_sizes = [sizes[v] for v in order]
             total = sum(comp_sizes)
             caps = []
-            if heuristic and max(comp_sizes) + 2 < total:
+            if max(comp_sizes) + 2 < total:
                 caps.append(max(comp_sizes) + 2)
             caps.append(total)
             for cap in caps:
-                out = _run_sweep(adj, comp_sizes, cap, conn_prune, budget,
-                                 f"choosability sweep (cap {cap})")
+                out = _run_sweep(adj, comp_sizes, cap, conn_prune=True, budget=budget,
+                                 context=f"choosability sweep (cap {cap})")
                 total_nodes += out.nodes
                 if out.witness is not None:
                     lists = _arbitrary_lists(sizes)

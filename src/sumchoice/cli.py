@@ -18,7 +18,7 @@ from .errors import SumChoiceError
 from .families import format_family, generate, parse_family
 from .graphs import Graph, encode_graph6, parse_graph6
 from .sumnumber import (
-    ChiUnknown, INFINITY, MemoStore, chi_sc, greedy_bound,
+    ChiUnknown, MemoStore, _encode_bound, chi_sc, greedy_bound,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -39,14 +39,6 @@ def _resolve_graph(args) -> Graph:
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     return generate(parse_family(args.family))
-
-
-def _bound_json(x):
-    if x is None:
-        return None
-    if x == INFINITY:
-        return "inf"
-    return int(x)
 
 
 def _cache_path(args) -> str | None:
@@ -79,8 +71,8 @@ def cmd_chi_sc(args) -> int:
         "gb": out.greedy_bound,
         "sc_greedy": out.sc_greedy,
         "optimal_f": list(out.optimal_f),
-        "rho": _bound_json(out.rho),
-        "tau": _bound_json(out.tau),
+        "rho": _encode_bound(out.rho),
+        "tau": _encode_bound(out.tau),
         "elapsed": round(elapsed, 3),
     }
     if args.json:
@@ -102,6 +94,8 @@ def cmd_choosable(args) -> int:
     if len(sizes) != g.n:
         raise SumChoiceError(
             f"--sizes has {len(sizes)} entries for a graph of order {g.n}")
+    if any(x < 0 for x in sizes):
+        raise SumChoiceError(f"--sizes has a negative entry: {args.sizes}")
     budget = Budget.of(seconds=args.budget)
     verdict = is_choosable(g, sizes, budget)
     if isinstance(verdict, UnknownVerdict):

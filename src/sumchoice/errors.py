@@ -20,11 +20,6 @@ class FamilySpecError(SumChoiceError):
 class SearchBudgetExceeded(SumChoiceError):
     """A search ran out of wall-clock time or nodes.
 
-    Carries enough progress information for the caller to build an honest
-    "unknown" outcome instead of guessing.
+    The message says where, so the caller can build an honest "unknown"
+    outcome instead of guessing.
     """
-
-    def __init__(self, message: str, nodes: int = 0, detail: str = ""):
-        super().__init__(message)
-        self.nodes = nodes
-        self.detail = detail

@@ -58,18 +58,11 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.adj[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
@@ -159,13 +152,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_ORDER:
-        raise CapacityError(f"union order {g.n + h.n} exceeds {MAX_ORDER}")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -75,17 +75,13 @@ class SumChoiceRecord:
     rho: int | float | None  # None: not computed on this path
     tau: int | float | None  # None: capped search found nothing at <= cap
     method: str = ""
-    rho_vertex: int | None = None
 
     def relabeled(self, perm: Sequence[int]) -> "SumChoiceRecord":
         """Map optimal_f through perm (old vertex -> new position)."""
         f = [0] * len(self.optimal_f)
         for v, p in enumerate(perm):
             f[p] = self.optimal_f[v]
-        vertex = None
-        if self.rho_vertex is not None:
-            vertex = perm[self.rho_vertex]
-        return replace(self, optimal_f=tuple(f), rho_vertex=vertex)
+        return replace(self, optimal_f=tuple(f))
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> TauResult:
 @dataclass
 class RhoResult:
     value: int | float  # INFINITY for the empty graph
-    vertex: int | None
+    choice_function: SizeFunction | None
     unknown: bool = False
     lower_bound: int = 0
 
@@ -287,10 +283,11 @@ class RhoResult:
 def rho(g: Graph, memo: "MemoStore | None" = None,
         budget: Budget | None = None) -> RhoResult:
     """min over vertices of chi_sc(G - v) + deg(v) + 1 (INFINITY when there
-    are no vertices).  Ties broken by ascending vertex index."""
+    are no vertices).  Ties broken by ascending vertex index.  The choice
+    function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted."""
     memo = memo if memo is not None else MemoStore()
     best: int | float = INFINITY
-    best_v = None
+    best_f = None
     floor: int | float = INFINITY
     any_unknown = False
     for v in range(g.n):
@@ -303,12 +300,12 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
         else:
             if out.chi_sc + step < best:
                 best = out.chi_sc + step
-                best_v = v
+                best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
             floor = min(floor, out.chi_sc + step)
     if any_unknown and best > floor:
         return RhoResult(INFINITY, None, unknown=True,
                          lower_bound=int(floor) if floor != INFINITY else 0)
-    return RhoResult(best, best_v)
+    return RhoResult(best, best_f)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +325,8 @@ def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
     verdict = is_choosable(g, f, budget)
     if isinstance(verdict, UnknownVerdict):
         raise SearchBudgetExceeded(
-            "budget ran out while re-verifying an optimal size function",
-            detail=verdict.progress)
+            f"budget ran out while re-verifying an optimal size function: "
+            f"{verdict.progress}")
     if not isinstance(verdict, Choosable):
         raise AssertionError("optimal size function failed re-verification")
 
@@ -456,48 +453,32 @@ def _chi_base(g, memo, budget) -> ChiOutcome:
     if tau_res.value < rho_val:
         f = tau_res.choice_function
         tau_field: int | float | None = tau_res.value
-        rho_vertex = rho_res.vertex
     else:
         # no non-simple size function exists at all when some degree is
         # below 2; otherwise the capped search only proves tau >= rho
         tau_field = INFINITY if g.min_degree() < 2 else None
-        rho_vertex = rho_res.vertex
-        f = _lift_rho_function(g, rho_vertex, memo, budget)
+        f = rho_res.choice_function
         try:
             _verify_choice_function(g, f, chi, budget)
         except SearchBudgetExceeded as exc:
             return ChiUnknown(chi, chi, f"value certified, lifted size function "
                               f"unverified: {exc}")
     return SumChoiceRecord(chi, gb, chi == gb, f, rho_val, tau_field,
-                           method="rho-tau", rho_vertex=rho_vertex)
-
-
-def _lift_rho_function(g: Graph, vertex: int, memo: MemoStore,
-                       budget: Budget | None) -> SizeFunction:
-    """Optimal size function of G - v extended with f(v) = deg(v) + 1, which
-    is choosable of size chi_sc(G - v) + deg(v) + 1."""
-    sub = g.delete_vertex(vertex)
-    out = chi_sc(sub, memo, budget)
-    if isinstance(out, ChiUnknown):
-        raise SearchBudgetExceeded("budget ran out while lifting a size function")
-    f = list(out.optimal_f)
-    f.insert(vertex, g.degree(vertex) + 1)
-    return tuple(f)
+                           method="rho-tau")
 
 
 def is_sc_greedy(g: Graph, memo: MemoStore | None = None,
-                 budget: Budget | None = None, *,
-                 allow_shortcut: bool = True) -> bool:
+                 budget: Budget | None = None) -> bool:
     """Whether chi_sc equals the greedy bound.
 
-    With ``allow_shortcut``, a stored non-sc-greedy graph found as an
-    induced subgraph settles the answer as False without computing the
-    value (non-greediness is inherited upward through induced subgraphs).
-    The store is seeded with the smallest non-sc-greedy graph, K_{2,3}, and
-    grows with every value the engine computes.
+    A stored non-sc-greedy graph found as an induced subgraph settles the
+    answer as False without computing the value (non-greediness is
+    inherited upward through induced subgraphs).  The store is seeded with
+    the smallest non-sc-greedy graph, K_{2,3}, and grows with every value
+    the engine computes.
     """
     memo = memo if memo is not None else MemoStore()
-    if allow_shortcut and 5 < g.n <= CANONICAL_MAX_ORDER:
+    if 5 < g.n <= CANONICAL_MAX_ORDER:
         k23 = fam.generate(fam.CompleteBipartite(2, 3))
         chi_sc(k23, memo, budget)  # seed; a no-op once memoized
         for key, order in memo.known_not_sc_greedy():

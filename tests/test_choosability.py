@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumchoice import (
@@ -110,6 +111,10 @@ class TestIsChoosable:
         assert isinstance(verdict, NotChoosable)
         assert verdict.witness[0] == ()
 
+    def test_negative_size_is_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            is_choosable(generate(Path(2)), (-1, 2))
+
     def test_witnesses_are_sound(self):
         rng = random.Random(99)
         found = 0
@@ -137,7 +142,7 @@ class TestIsChoosable:
             g = graph_from_mask(n, rng.getrandbits(len(pairs)), pairs)
             f = tuple(rng.randint(1, min(g.degree(v) + 2, 4)) for v in range(n))
             plain = is_choosable(g, f)
-            raw = is_choosable(g, f, reduce_first=False, heuristic=False)
+            raw = is_choosable(g, f, reduce_first=False)
             assert isinstance(plain, Choosable) == isinstance(raw, Choosable)
 
     def test_isomorphism_invariance(self):

@@ -165,3 +165,8 @@ class TestLimits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: --") and "Traceback" not in err
+
+    def test_negative_sizes_exit_2(self, capsys):
+        code, out, err = run(capsys, "choosable", "--family", "path:2", "--sizes=-1,2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sizes") and "Traceback" not in err

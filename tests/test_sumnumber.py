@@ -103,6 +103,21 @@ class TestTau:
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
         assert budget.nodes == 30811
 
+    @pytest.mark.parametrize("spec, calls", [
+        (Wheel(4), 22), (CompleteBipartite(2, 3), 18), (Complete(4), 11)])
+    def test_chi_sc_calls_from_an_empty_memo(self, spec, calls, monkeypatch):
+        # rho lifts its best G - v record itself: no second chi_sc(G - v)
+        seen = []
+        real = sumnumber.chi_sc
+
+        def spy(*args, **kwargs):
+            seen.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sumnumber, "chi_sc", spy)
+        sumnumber.chi_sc(generate(spec), MemoStore())
+        assert len(seen) == calls
+
 
 class TestRho:
     def test_k1_base_case(self, memo):
@@ -117,12 +132,19 @@ class TestRho:
         claw = record(generate(CompleteBipartite(1, 3)), memo)
         c4 = record(generate(Cycle(4)), memo)
         assert claw.chi_sc == 7 and c4.chi_sc == 8
-        out = rho(generate(CompleteBipartite(2, 3)), memo)
+        g = generate(CompleteBipartite(2, 3))
+        out = rho(g, memo)
         assert out.value == min(claw.chi_sc + 4, c4.chi_sc + 3) == 11
+        assert sum(out.choice_function) == out.value
+        assert isinstance(is_choosable(g, out.choice_function), Choosable)
 
     def test_c5_via_p4(self, memo):
         assert record(generate(Path(4)), memo).chi_sc == 7
-        assert rho(generate(Cycle(5)), memo).value == 10
+        g = generate(Cycle(5))
+        out = rho(g, memo)
+        assert out.value == 10
+        assert sum(out.choice_function) == out.value
+        assert isinstance(is_choosable(g, out.choice_function), Choosable)
 
 
 class TestChiSc:
