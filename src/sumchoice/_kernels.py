@@ -18,8 +18,14 @@ finds uncolorable assignments early) and lexicographically within that.
 When ``conn_prune`` is on, branches are skipped whose partial color classes
 can no longer end up connected in the graph; an uncolorable assignment can
 always be rewritten, by splitting a disconnected color class into two
-colors, into an uncolorable assignment whose classes are all connected, so
-the restricted sweep still certifies choosability.
+colors, into an uncolorable assignment whose classes are all connected.
+The prune also skips branches in which a vertex holds a color that none of
+its neighbours can hold (a private color): a class that is a single vertex
+with no future neighbour.  Such an assignment is colorable iff its
+restriction to G - v is, so the caller (``choosability.is_choosable``)
+covers these assignments by checking every G - v instead.  With the prune,
+a sweep certifies choosability only together with those checks; with
+``conn_prune`` off it makes no cut and is the reference.
 
 Each node's work is incremental.  Every level keeps one coloring of its
 prefix, and a child first tries to extend it to the new vertex, an O(deg)
@@ -92,8 +98,9 @@ def _neighborhood(adj: list[int], vertex_mask: int) -> int:
 def _classes_ok(adj: list[int], classes: list[int], near: int,
                 future: int) -> bool:
     """False when some color class that holds or touches the new vertex
-    (``near`` is its bit and its neighbours) has a component that is
-    separated from the rest and cannot reach any future vertex.
+    (``near`` is its bit and its neighbours) has a component that cannot
+    reach any future vertex and is either separated from the rest of the
+    class or a single vertex, whose color then stays private to it.
 
     Checking only those classes is exact when the parent prefix passed: any
     other class has the same components and the same reach into the future
@@ -121,7 +128,7 @@ def _classes_ok(adj: list[int], classes: list[int], near: int,
             ncomp += 1
             if not nbr & future:
                 frozen = True
-        if ncomp >= 2 and frozen:
+        if frozen and (ncomp >= 2 or not mask & (mask - 1)):
             return False
     return True
 
@@ -171,7 +178,10 @@ class SweepState:
     ``conn_prune`` on, the color class masks of each prefix are kept per
     level too: a child's are its parent's plus the new vertex in each color
     of its list, so neither the prune nor the old-color filter rebuilds
-    them.
+    them.  The prune cuts a prefix when a class cannot end up connected, or
+    when it is a single vertex with no future neighbour (a private color),
+    so SWEEP_DONE then proves only the assignments with connected classes
+    and no private color colorable.
 
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
     3 prefixes shown colorable without the solver (by step 1 or 2).

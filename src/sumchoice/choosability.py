@@ -321,6 +321,17 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     over a small universe (max list size + 2, an empirically good cap) may
     settle NotChoosable early but is never used to conclude Choosable.
     A size of 0 gives NotChoosable; a negative size raises ValueError.
+
+    The sweep skips every assignment in which some vertex v holds a color
+    that none of its neighbours has (a private color), and each component
+    G_c then also checks every G_c - v for f restricted to it.  This is
+    exact.  Under such an assignment L, any coloring of G - v from L extends
+    to v with its private color, so L is colorable iff L restricted to
+    G - v is (Erdos, Rubin and Taylor 1979).  Hence G is f-choosable iff
+    every assignment with connected color classes and no private color is
+    colorable, which the sweep checks, and every G - v is choosable for f
+    restricted to it, which the recursive calls prove.  Conversely a witness
+    for G - v, with any list at v, is a witness for G.
     """
     f = tuple(int(x) for x in f)
     if len(f) != g.n:
@@ -352,6 +363,14 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     if work.n == 0:
         return Choosable(assignments_examined=0)
 
+    def not_choosable(lists: list[tuple[int, ...]], nodes: int) -> NotChoosable:
+        # lists: one per vertex of ``work``
+        witness = {vmap[v]: tuple(sorted(lists[v])) for v in range(work.n)}
+        _lift_witness(steps, witness)
+        wit = tuple(witness[v] for v in range(g.n))
+        _assert_witness(g, f, wit)
+        return NotChoosable(witness=wit, nodes=nodes)
+
     total_assignments = 0
     total_nodes = 0
     budget_nodes_start = budget.nodes if budget is not None else 0
@@ -377,14 +396,27 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
                     lists = _arbitrary_lists(sizes)
                     for i, row in enumerate(out.witness):
                         lists[order[i]] = row
-                    witness = {vmap[v]: tuple(sorted(lists[v]))
-                               for v in range(work.n)}
-                    _lift_witness(steps, witness)
-                    wit = tuple(witness[v] for v in range(g.n))
-                    _assert_witness(g, f, wit)
-                    return NotChoosable(witness=wit, nodes=total_nodes)
+                    return not_choosable(lists, total_nodes)
                 if cap == total:
                     total_assignments += out.assignments
+            # the sweep skipped assignments with a private color: check G_c - v
+            for v in order:
+                rest = [u for u in iter_bits(comp_mask) if u != v]
+                sub = is_choosable(induced_subgraph(work, rest),
+                                   [sizes[u] for u in rest], budget)
+                if isinstance(sub, UnknownVerdict):
+                    raise SearchBudgetExceeded(sub.progress)
+                total_nodes += sub.nodes
+                if isinstance(sub, NotChoosable):
+                    lists = _arbitrary_lists(sizes)
+                    for i, u in enumerate(rest):
+                        lists[u] = sub.witness[i]
+                    base = _fresh_base(dict(enumerate(sub.witness)))
+                    lists[v] = tuple(range(base, base + sizes[v]))
+                    return not_choosable(lists, total_nodes)
+                total_assignments += sub.assignments_examined
+                if budget is not None:
+                    budget.check("choosability checks of G - v")
     except SearchBudgetExceeded as exc:
         used = budget.nodes - budget_nodes_start if budget is not None else 0
         return UnknownVerdict(nodes=used, progress=str(exc))

@@ -28,7 +28,7 @@ from . import families as fam
 from .choosability import (
     Budget, Choosable, NotChoosable, UnknownVerdict, all_proper_colorings,
     canonical_assignments, find_forcing_assignment, is_choosable,
-    is_list_colorable, reduce_size_function,
+    is_list_colorable,
 )
 from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
@@ -361,19 +361,11 @@ def _t_reduction_equiv(args, memo, budget, rng):
         n = rng.randint(2, 5)
         g = _random_graph(rng, n)
         f = tuple(rng.randint(1, min(g.degree(v) + 2, 4)) for v in range(n))
-        full = is_choosable(g, f, budget)
-        red = reduce_size_function(g, f)
-        if red.dead:
-            reduced_verdict = False
-        else:
-            sub = is_choosable(red.graph, red.sizes, budget,
-                               reduce_first=False)
-            if isinstance(sub, UnknownVerdict):
-                raise SearchBudgetExceeded("reduction check interrupted")
-            reduced_verdict = isinstance(sub, Choosable)
-        if isinstance(full, UnknownVerdict):
+        reduced = is_choosable(g, f, budget)
+        unreduced = is_choosable(g, f, budget, reduce_first=False)
+        if UnknownVerdict in (type(reduced), type(unreduced)):
             raise SearchBudgetExceeded("reduction check interrupted")
-        if isinstance(full, Choosable) != reduced_verdict:
+        if isinstance(reduced, Choosable) != isinstance(unreduced, Choosable):
             return False, {"agreements": count}, \
                 {"disagreement": {"graph": encode_graph6(g), "sizes": f}}, ""
         agree += 1

@@ -36,7 +36,7 @@ from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
     CANONICAL_MAX_ORDER, CanonicalKey, Graph, blocks, canonical_form,
     canonical_form_and_permutation, enumerate_connected_graphs,
-    induced_subgraph, iter_bits,
+    induced_subgraph, iter_bits, parse_graph6,
 )
 
 INFINITY = math.inf
@@ -122,6 +122,9 @@ class MemoStore:
     A final line with no trailing newline that does not parse is what a
     crash during an append leaves behind; it is ignored on load and cut off
     before the next append.  Any other malformed line raises SumChoiceError.
+
+    Records read from the file are not trusted: their keys stay in
+    ``_unchecked`` until ``chi_sc`` has checked the record on its first hit.
     """
 
     def __init__(self, path: str | None = None):
@@ -129,6 +132,7 @@ class MemoStore:
         self._data: dict[str, SumChoiceRecord] = {}
         self._lock = threading.Lock()
         self._torn_at: int | None = None  # byte offset of a torn final line
+        self._unchecked: set[CanonicalKey] = set()
         if path:
             try:
                 with open(path, "rb") as fh:
@@ -158,6 +162,7 @@ class MemoStore:
                     )
                 except (KeyError, TypeError, ValueError) as exc:
                     raise SumChoiceError(f"{path}:{number}: malformed memo record") from exc
+            self._unchecked = set(self._data)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -331,6 +336,32 @@ def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
         raise AssertionError("optimal size function failed re-verification")
 
 
+def _check_memo_record(key: CanonicalKey, rec: SumChoiceRecord, memo: MemoStore,
+                       budget: Budget | None) -> ChiUnknown | None:
+    """Check a record read from the memo file: its optimal_f must sum to
+    chi_sc, which must not exceed the greedy bound, and must be choosable.
+    A wrong record raises SumChoiceError; None when it holds, ChiUnknown
+    when the budget ran out first."""
+    g = parse_graph6(key)
+    f = rec.optimal_f
+    gb = greedy_bound(g)
+    if len(f) != g.n or not all(type(x) is int and x >= 1 for x in f):
+        problem = f"optimal_f {list(f)} is not a size function on {g.n} vertices"
+    elif sum(f) != rec.chi_sc:
+        problem = f"optimal_f sums to {sum(f)}, not chi_sc {rec.chi_sc}"
+    elif rec.greedy_bound != gb or rec.chi_sc > gb:
+        problem = f"chi_sc {rec.chi_sc} and gb {rec.greedy_bound} with greedy bound {gb}"
+    else:
+        verdict = is_choosable(g, f, budget)
+        if isinstance(verdict, UnknownVerdict):
+            return ChiUnknown(g.n, gb, f"budget ran out while checking the memo "
+                              f"record: {verdict.progress}")
+        if isinstance(verdict, Choosable):
+            return None
+        problem = f"optimal_f {list(f)} is not choosable"
+    raise SumChoiceError(f"{memo.path}: wrong memo record for {key}: {problem}")
+
+
 def chi_sc(g: Graph, memo: MemoStore | None = None,
            budget: Budget | None = None, *, use_blocks: bool = True) -> ChiOutcome:
     """Exact sum choice number with a verified optimal size function.
@@ -349,6 +380,11 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     if key is not None:
         hit = memo.get(key)
         if hit is not None:
+            if key in memo._unchecked:
+                unknown = _check_memo_record(key, hit, memo, budget)
+                if unknown is not None:
+                    return unknown
+                memo._unchecked.discard(key)
             inverse = [0] * g.n
             for v, p in enumerate(perm):
                 inverse[p] = v
@@ -483,6 +519,10 @@ def is_sc_greedy(g: Graph, memo: MemoStore | None = None,
         chi_sc(k23, memo, budget)  # seed; a no-op once memoized
         for key, order in memo.known_not_sc_greedy():
             if order < g.n and has_induced_subgraph(g, key, order):
+                # a record read from the memo file is checked on its first hit
+                if isinstance(chi_sc(parse_graph6(key), memo, budget), ChiUnknown):
+                    raise SearchBudgetExceeded("budget ran out while checking a "
+                                               "memo record")
                 return False
     out = chi_sc(g, memo, budget)
     if isinstance(out, ChiUnknown):

@@ -10,6 +10,7 @@ from sumchoice import (
     empty_graph, find_forcing_assignment, generate, graph_from_edges,
     is_choosable, is_list_colorable, reduce_size_function,
 )
+from sumchoice import choosability
 from sumchoice.choosability import all_proper_colorings
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
 
@@ -193,6 +194,51 @@ class TestIsChoosable:
 
     def test_empty_graph(self):
         assert isinstance(is_choosable(empty_graph(0), ()), Choosable)
+
+
+class TestVertexDeletionChecks:
+    """The sweep skips assignments with a private color; the G - v checks
+    must cover them."""
+
+    @staticmethod
+    def spy_sweeps(monkeypatch, blind_order=None):
+        """Record (component order, nodes) of every sweep; sweeps over
+        ``blind_order`` vertices report no witness."""
+        seen = []
+        real = choosability._run_sweep
+
+        def sweep(adj, sizes, *args, **kwargs):
+            out = real(adj, sizes, *args, **kwargs)
+            seen.append((len(sizes), out.nodes))
+            if len(sizes) == blind_order:
+                out.witness = None
+            return out
+
+        monkeypatch.setattr(choosability, "_run_sweep", sweep)
+        return seen
+
+    def test_witness_found_through_g_minus_v(self, monkeypatch):
+        # K2,5 - v is K2,4, K2,3 plus one vertex joined to both degree-3
+        # vertices, which is not 2-choosable.  With every sweep over all
+        # seven vertices blind, only a G - v check can find the witness.
+        g = generate(CompleteBipartite(2, 5))
+        self.spy_sweeps(monkeypatch, blind_order=7)
+        verdict = is_choosable(g, (2,) * 7)
+        assert isinstance(verdict, NotChoosable)
+        assert tuple(len(row) for row in verdict.witness) == (2,) * 7
+        assert is_list_colorable(g, verdict.witness) is None
+
+    def test_budget_is_checked_between_g_minus_v_calls(self, monkeypatch):
+        g = generate(CompleteBipartite(2, 3))
+        seen = self.spy_sweeps(monkeypatch)
+        assert isinstance(is_choosable(g, (2,) * 5), Choosable)
+        own = sum(nodes for order, nodes in seen if order == 5)
+        assert own < sum(nodes for _, nodes in seen)
+        # the limit lets the sweeps of K2,3 itself finish, not the G - v calls
+        budget = Budget(node_limit=own)
+        verdict = is_choosable(g, (2,) * 5, budget)
+        assert isinstance(verdict, UnknownVerdict)
+        assert verdict.nodes == budget.nodes > own
 
 
 class TestCanonicalAssignments:

@@ -72,6 +72,16 @@ class TestChiSc:
         assert code == 0 and json.loads(out)["chi_sc"] == 19
         assert time.monotonic() - start < 1 + 2
 
+    def test_wrong_memo_record_exits_2(self, capsys, tmp_path):
+        # a hand-written K3 record: sizes 1,1,2 sum to the claimed 4, but
+        # K3 is not choosable with them
+        cache = tmp_path / "memo.jsonl"
+        cache.write_text('{"canonical_graph6": "Bw", "chi_sc": 4, "gb": 6, '
+                         '"optimal_f": [1, 1, 2], "rho": 4, "tau": "inf"}\n')
+        code, out, err = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        assert code == 2 and not out
+        assert "wrong memo record" in err
+
     def test_corrupt_memo_line_exits_2(self, capsys, tmp_path):
         cache = tmp_path / "memo.jsonl"
         run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))

@@ -120,15 +120,48 @@ def test_conn_prune_does_not_change_verdicts():
         assert (a.witness is None) == (b.witness is None)
 
 
+def _uncut_verdict(g, f):
+    # the full-cap sweep with no prune at all: the reference for the cut
+    adj, order = _sweep_input(g)
+    sizes = [f[v] for v in order]
+    out = _run_sweep(adj, sizes, sum(sizes), conn_prune=False, budget=None,
+                     context="test")
+    return Choosable if out.witness is None else NotChoosable
+
+
+def test_private_color_cut_keeps_verdicts_on_small_graphs():
+    # every connected graph of order <= 4 with 1 <= f <= deg + 1
+    checked = {Choosable: 0, NotChoosable: 0}
+    for n in range(1, 5):
+        for g in enumerate_connected_graphs(n):
+            boxes = [range(1, g.degree(v) + 2) for v in range(n)]
+            for f in itertools.product(*boxes):
+                verdict = type(is_choosable(g, f))
+                assert verdict is _uncut_verdict(g, f), (g.adj, f)
+                checked[verdict] += 1
+    assert min(checked.values()) > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    pairs = vertex_pairs(n)
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+    assume(g.is_connected())
+    f = [data.draw(st.integers(1, g.degree(v) + 1)) for v in range(n)]
+    assert type(is_choosable(g, f)) is _uncut_verdict(g, f)
+
+
 # verdict, assignments_examined, nodes and summed solver calls of a few
-# fixed cases; the solver calls drop if a prefix stops trying its parent's
-# coloring before the cache scan and the solver
+# fixed cases, the G - v checks included; the solver calls drop if a prefix
+# stops trying its parent's coloring before the cache scan and the solver
 PINNED = {
     "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 180, 383, 16),
-    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 1794, 5056,
-             82),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 21014, 30705, 224),
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 215, 4),
+    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 3633,
+             40),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 23476, 140),
     "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
 }
 
@@ -156,8 +189,9 @@ def test_pinned_verdicts_and_counts(monkeypatch):
 
 # --- the kernel as it was before its per-node state was carried down the
 # search: every node rebuilds the class masks from the lists and scans the
-# cache before the solver.  It shares the option order and the solver with
-# the kernel, so it pins the node order, prune decisions and witnesses.
+# cache before the solver.  Its prune makes the same cuts as the kernel's,
+# the private-color cut included.  It shares the option order and the solver
+# with the kernel, so it pins the node order, prune decisions and witnesses.
 
 def _reference_neighborhood(adj, vertex_mask):
     nbr = 0
@@ -191,7 +225,7 @@ def _reference_classes_ok(adj, lists, level, u_after, future):
             if not nbr & future:
                 frozen = True
             remaining ^= comp
-        if ncomp >= 2 and frozen:
+        if frozen and (ncomp >= 2 or mask.bit_count() == 1):
             return False
     return True
 
@@ -312,7 +346,7 @@ def _assert_same_search(adj, sizes, cap, prune, chunk, chunks):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sweep_matches_reference_kernel(n):
-    # of the 240 sweeps over orders 1-5, 178 end within 3000 nodes; the
+    # of the 240 sweeps over orders 1-5, 188 end within 3000 nodes; the
     # rest are compared in their paused state there
     for g in enumerate_connected_graphs(n):
         adj, _ = _sweep_input(g)

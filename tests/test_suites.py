@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
 
-from sumchoice.suites import SUITE_NAMES, build_suite, run_suite, subdivide_edge
-from sumchoice import canonical_form, generate
+from sumchoice import (
+    Budget, MemoStore, canonical_form, choosability, generate, graph_from_edges,
+)
+from sumchoice.suites import (
+    SUITE_NAMES, _TASKS, build_suite, run_suite, subdivide_edge,
+)
 from sumchoice.families import Cycle, Wheel
 
 
@@ -56,6 +61,23 @@ def test_five_vertex_suite_passes():
 def test_lemma_suite_passes():
     report = run_suite("lemma-properties", budget_seconds=900)
     assert report.exit_code() == 0, report.to_json()
+
+
+def test_reduction_equivalence_catches_a_wrong_reduction(monkeypatch):
+    # a reduction that strips a size-1 vertex without shrinking its
+    # neighbours' lists: it claims Choosable too often, but every witness it
+    # finds still lifts into a sound one, so only the comparison catches it
+    real = choosability.reduce_size_function
+
+    def wrong(g, f):
+        kept = [(u, v) for u, v in g.edges() if f[u] > 1 and f[v] > 1]
+        return real(graph_from_edges(g.n, kept), f)
+
+    monkeypatch.setattr(choosability, "reduce_size_function", wrong)
+    ok, _expected, computed, _note = _TASKS["reduction_equivalence"](
+        (200,), MemoStore(), Budget.of(seconds=600), random.Random(1729))
+    assert not ok
+    assert "disagreement" in computed
 
 
 def test_parallel_execution_matches_serial():

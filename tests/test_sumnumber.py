@@ -101,7 +101,7 @@ class TestTau:
         budget = Budget()
         rec = record(generate(Wheel(4)), MemoStore(), budget)
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
-        assert budget.nodes == 30811
+        assert budget.nodes == 23572
 
     @pytest.mark.parametrize("spec, calls", [
         (Wheel(4), 22), (CompleteBipartite(2, 3), 18), (Complete(4), 11)])
@@ -357,6 +357,49 @@ class TestMemoStore:
         path.write_text(lines[0] + '{"chi_sc": 4}\n' + "".join(lines[1:]))
         with pytest.raises(SumChoiceError, match=":2:"):
             MemoStore(str(path))
+
+    @pytest.mark.parametrize("chi, f, problem", [
+        (4, [1, 1, 2], "not choosable"),
+        (5, [1, 1, 2], "sums to 4"),
+        (7, [3, 2, 2], "greedy bound 6"),
+        (6, [3, 3], "not a size function"),
+    ])
+    def test_wrong_record_from_file_raises(self, tmp_path, chi, f, problem):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({
+            "canonical_graph6": canonical_form(generate(Complete(3))), "chi_sc": chi,
+            "gb": 6, "optimal_f": f, "rho": chi, "tau": "inf"}) + "\n")
+        store = MemoStore(str(path))  # loading checks nothing
+        with pytest.raises(SumChoiceError, match=problem):
+            chi_sc(generate(Complete(3)), store)
+
+    def test_wrong_record_from_file_cannot_settle_sc_greedy(self, tmp_path):
+        # C5 is sc-greedy; a record claiming chi_sc 9 < 10 must not make a
+        # C5 with a pendant vertex non-sc-greedy unchecked
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({
+            "canonical_graph6": canonical_form(generate(Cycle(5))), "chi_sc": 9,
+            "gb": 10, "optimal_f": [1, 2, 2, 2, 2], "rho": 9, "tau": "inf"}) + "\n")
+        g = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+        assert is_sc_greedy(g, MemoStore())
+        with pytest.raises(SumChoiceError, match="not choosable"):
+            is_sc_greedy(g, MemoStore(str(path)))
+
+    def test_file_records_are_checked_once_on_first_hit(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        built = MemoStore(str(path))
+        record(generate(CompleteBipartite(2, 3)), built)
+        checks = []
+        real = sumnumber.is_choosable
+        monkeypatch.setattr(sumnumber, "is_choosable",
+                            lambda g, f, budget=None: checks.append(f) or real(g, f, budget))
+        record(generate(CompleteBipartite(2, 3)), built)
+        assert checks == []  # computed in this process: served as is
+        reloaded = MemoStore(str(path))
+        for _ in range(2):
+            again = record(generate(CompleteBipartite(2, 3)), reloaded)
+            assert again.chi_sc == 10 and again.method == "cache"
+        assert len(checks) == 1 and sum(checks[0]) == 10
 
     def test_duplicate_put_is_noop(self):
         store = MemoStore()
