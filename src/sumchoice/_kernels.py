@@ -15,11 +15,11 @@ assignments: scanning vertices in a fixed order, a new color may enter a
 list only as the smallest unused integer.  Options at each vertex are
 ordered by number of fresh colors ascending (maximal reuse first, which
 finds uncolorable assignments early) and lexicographically within that.
-When ``conn_prune`` is on, branches are skipped whose partial color classes
+When ``conn_prune`` is on, no branch is built whose partial color classes
 can no longer end up connected in the graph; an uncolorable assignment can
 always be rewritten, by splitting a disconnected color class into two
 colors, into an uncolorable assignment whose classes are all connected.
-The prune also skips branches in which a vertex holds a color that none of
+The prune also drops branches in which a vertex holds a color that none of
 its neighbours can hold (a private color): a class that is a single vertex
 with no future neighbour.  Such an assignment is colorable iff its
 restriction to G - v is, so the caller (``choosability.is_choosable``)
@@ -30,9 +30,11 @@ a sweep certifies choosability only together with those checks; with
 Each node's work is incremental.  Every level keeps one coloring of its
 prefix, and a child first tries to extend it to the new vertex, an O(deg)
 test, before it scans the prefix cache or calls the solver.  With
-``conn_prune`` on, every level also keeps its prefix's color class masks; a
-child adds the new vertex to the classes of its list and re-checks only the
-classes that hold or touch it.
+``conn_prune`` on, every level also keeps its prefix's color class masks,
+and the prune shapes the options of the next vertex: they are generated
+once per parent prefix from a per-class test of the classes, so the sweep
+never builds a prefix the prune would cut, and every node it counts is
+probed.
 """
 
 from __future__ import annotations
@@ -86,78 +88,77 @@ def _solve_lists(adj: list[int], lists: list[int], todo: int, colored: int,
     return False
 
 
-def _neighborhood(adj: list[int], vertex_mask: int) -> int:
-    nbr = 0
-    while vertex_mask:
-        low = vertex_mask & -vertex_mask
-        vertex_mask ^= low
-        nbr |= adj[low.bit_length() - 1]
-    return nbr
-
-
-def _classes_ok(adj: list[int], classes: list[int], near: int,
-                future: int) -> bool:
-    """False when some color class that holds or touches the new vertex
-    (``near`` is its bit and its neighbours) has a component that cannot
-    reach any future vertex and is either separated from the rest of the
-    class or a single vertex, whose color then stays private to it.
-
-    Checking only those classes is exact when the parent prefix passed: any
-    other class has the same components and the same reach into the future
-    vertices as at the parent."""
-    for mask in classes:
-        if not mask & near:
-            continue
-        remaining = mask
-        ncomp = 0
-        frozen = False
-        while remaining:
-            # flood one component out of ``remaining``, each vertex once
-            frontier = remaining & -remaining
-            remaining ^= frontier
-            nbr = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                row = adj[low.bit_length() - 1]
-                nbr |= row
-                grown = row & remaining
-                if grown:
-                    remaining ^= grown
-                    frontier |= grown
-            ncomp += 1
-            if not nbr & future:
-                frozen = True
-        if frozen and (ncomp >= 2 or not mask & (mask - 1)):
-            return False
-    return True
-
-
-def _allowed_old_colors(adj: list[int], classes: list[int], level: int,
-                        future: int) -> list[int]:
-    """Old colors, given the class masks of vertices 0..level-1, that may
-    still enter the list of ``level`` without dooming class connectivity."""
-    adj_i = adj[level]
-    i_touches_future = bool(adj_i & future)
-    allowed = []
-    for x, mask in enumerate(classes):
-        if adj_i & mask or (i_touches_future and _neighborhood(adj, mask) & future):
-            allowed.append(x)
-    return allowed
-
-
-def _options(size: int, allowed: list[int], u: int,
+def _options(size: int, must: int, free: list[int], u: int,
              u_cap: int) -> Iterator[tuple[int, int]]:
-    """(list mask, colors used after it) for each option of one vertex: by
-    number k of fresh colors ascending, then old-color combination in
-    lexicographic order.  Fresh colors are u, u+1, ..., never past u_cap."""
-    allowed_bits = [1 << x for x in allowed]
-    for k in range(max(size - len(allowed), 0), size + 1):
+    """(list mask, colors used after it) for each option of one vertex: the
+    old colors in ``must``, more old colors from ``free`` and k fresh
+    colors.  By k ascending, then old-color set in lexicographic order.
+    Fresh colors are u, u+1, ..., never past u_cap."""
+    need = size - must.bit_count()
+    free_bits = [1 << x for x in free]
+    for k in range(max(need - len(free), 0), need + 1):
         if u + k > u_cap:
             return
         fresh = ((1 << k) - 1) << u
-        for old in combinations(allowed_bits, size - k):
-            yield fresh + sum(old), u + k  # distinct bits: the sum is the union
+        for old in combinations(free_bits, need - k):
+            yield fresh + must + sum(old), u + k  # distinct bits: the sum is the union
+
+
+def _pruned_options(adj: list[int], classes: list[int], v: int, reach: int,
+                    size: int, u_cap: int) -> Iterator[tuple[int, int]]:
+    """The options of vertex ``v`` whose color classes can all still end up
+    connected, given the class masks of the prefix before it, which passed.
+
+    ``reach`` is the set of vertices up to v with a neighbour after v; a
+    component of a class still reaches when it meets it.  Old color x with
+    class mask M may hold v when the component of v in M + v still reaches
+    or is all of M + v (M next to v), or when v and M both still reach (M
+    apart from v: v is then a component of its own).  x may stay out of v's
+    list when every component of M next to v still reaches or is all of M,
+    with two or more vertices.  A fresh color is a class {v}, so it needs a
+    later neighbour of v.  No other class changes from the parent's.
+
+    The prune is an AND of these per-class tests, so the lists it passes are
+    exactly those with every color that may not stay out, any of the rest
+    that may hold v, and fresh colors.  They come in the order in which
+    ``_options`` over all old colors gives them: two old-color sets of one
+    size are ordered by the smallest color in only one of them, which the
+    colors both must hold do not change."""
+    bit = 1 << v
+    adj_v = adj[v]
+    later = bool(reach & bit)
+    must = 0
+    free = []
+    for x, mask in enumerate(classes):
+        if not mask & adj_v:
+            if later and mask & reach:
+                free.append(x)
+            continue
+        may_omit = True
+        touched = 0
+        todo = mask & adj_v
+        while todo:
+            # flood the component of M that holds the lowest vertex of ``todo``
+            comp = frontier = todo & -todo
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adj[low.bit_length() - 1] & mask & ~comp
+                comp |= grown
+                frontier |= grown
+            todo &= ~comp
+            touched |= comp
+            if not comp & reach and (comp != mask or not mask & (mask - 1)):
+                may_omit = False
+        may_hold = later or bool(touched & reach) or touched == mask
+        if not may_omit:
+            if not may_hold:
+                return iter(())
+            must |= 1 << x
+        elif may_hold:
+            free.append(x)
+    u = len(classes)
+    return _options(size, must, free, u, u_cap if later else u)
 
 
 class SweepState:
@@ -177,14 +178,16 @@ class SweepState:
     The coloring found becomes the prefix's own, for its children.  With
     ``conn_prune`` on, the color class masks of each prefix are kept per
     level too: a child's are its parent's plus the new vertex in each color
-    of its list, so neither the prune nor the old-color filter rebuilds
-    them.  The prune cuts a prefix when a class cannot end up connected, or
-    when it is a single vertex with no future neighbour (a private color),
-    so SWEEP_DONE then proves only the assignments with connected classes
-    and no private color colorable.
+    of its list.  The prune then shapes each vertex's options: once per
+    parent prefix, ``_pruned_options`` keeps only the lists under which
+    every class can still end up connected and no class is a single vertex
+    with no future neighbour (a private color), so no prefix it would cut
+    is ever built.  SWEEP_DONE then proves only the assignments with
+    connected classes and no private color colorable.
 
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
-    3 prefixes shown colorable without the solver (by step 1 or 2).
+    3 prefixes shown colorable without the solver (by step 1 or 2).  Every
+    node is probed, so counters[0] == counters[2] + counters[3].
     """
 
     CACHE_SIZE = 64
@@ -202,19 +205,28 @@ class SweepState:
         # per vertex, its neighbours earlier in the order
         self.earlier = [[u for u in range(v) if adj_masks[v] >> u & 1]
                         for v in range(m)]
-        # per level, the iterator over that vertex's remaining options
-        self.options = [iter(())] * m
-        if m:
-            self.options[0] = _options(self.f[0], [], 0, self.u_cap)
+        # per vertex v, the vertices up to v with a neighbour after v
+        self.reach = [sum(1 << u for u in range(v + 1) if adj_masks[u] >> (v + 1))
+                      for v in range(m)]
         self.level = 0
         # entry j: a coloring (color bit per vertex) of the prefix of the
         # first j vertices, and per color its class mask on that prefix
         self.colorings: list[tuple[int, ...]] = [()] * (m + 1)
         self.classes: list[list[int]] = [[]] * (m + 1)
+        # per level, the iterator over that vertex's remaining options
+        self.options = [iter(())] * m
+        if m:
+            self.options[0] = self._level_options(0, 0)
         # ring cache of colorable prefixes: (prefix length, color bit per vertex)
         self.cache: list[tuple[int, tuple[int, ...]]] = []
         self.cache_pos = 0
         self.counters = [0, 0, 0, 0]
+
+    def _level_options(self, level: int, u: int) -> Iterator[tuple[int, int]]:
+        if self.conn_prune:
+            return _pruned_options(self.adj, self.classes[level], level,
+                                   self.reach[level], self.f[level], self.u_cap)
+        return _options(self.f[level], 0, list(range(u)), u, self.u_cap)
 
     def run(self, node_budget: int) -> int:
         """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,
@@ -223,7 +235,6 @@ class SweepState:
         counters, cache = self.counters, self.cache
         colorings, classes, earlier = self.colorings, self.classes, self.earlier
         conn_prune = self.conn_prune
-        full = (1 << m) - 1
         level = self.level
         nodes_here = 0
         while True:
@@ -241,20 +252,7 @@ class SweepState:
             lists[level] = row
             nodes_here += 1
             counters[0] += 1
-            bit = 1 << level
-            prefix = (bit << 1) - 1
-            future = full ^ prefix
-            if conn_prune:
-                held = classes[level]
-                masks = held + [0] * (u_after - len(held))
-                rest = row
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    masks[low.bit_length() - 1] |= bit
-                if not _classes_ok(adj, masks, adj[level] | bit, future):
-                    continue
-                classes[level + 1] = masks
+            prefix = (1 << (level + 1)) - 1
             # the parent's coloring extends if a color of the list is free
             coloring = colorings[level]
             forb = 0
@@ -289,13 +287,17 @@ class SweepState:
             if level == m - 1:
                 counters[1] += 1
                 continue
-            level += 1
             if conn_prune:
-                allowed = _allowed_old_colors(adj, classes[level], level,
-                                              future ^ (1 << level))
-            else:
-                allowed = list(range(u_after))
-            self.options[level] = _options(f[level], allowed, u_after, self.u_cap)
+                bit = 1 << level
+                masks = classes[level] + [0] * (u_after - len(classes[level]))
+                rest = row
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    masks[low.bit_length() - 1] |= bit
+                classes[level + 1] = masks
+            level += 1
+            self.options[level] = self._level_options(level, u_after)
 
     @property
     def nodes(self) -> int:

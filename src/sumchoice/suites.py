@@ -28,7 +28,7 @@ from . import families as fam
 from .choosability import (
     Budget, Choosable, NotChoosable, UnknownVerdict, all_proper_colorings,
     canonical_assignments, find_forcing_assignment, is_choosable,
-    is_list_colorable,
+    is_list_colorable, reduce_size_function,
 )
 from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
@@ -353,14 +353,30 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_edges(n, [e for e in edges if rng.random() < 0.55])
 
 
+def _irreducible_instance(rng: random.Random, n: int) -> tuple[Graph, tuple[int, ...]]:
+    # minimum degree 2 and 2 <= f(v) <= deg(v): the reduction strips nothing
+    while True:
+        g = _random_graph(rng, n)
+        degrees = [g.degree(v) for v in range(n)]
+        if min(degrees) >= 2:
+            return g, tuple(rng.randint(2, d) for d in degrees)
+
+
 @_task("reduction_equivalence")
 def _t_reduction_equiv(args, memo, budget, rng):
+    # every other instance is irreducible, so a fault in what the reduction
+    # leaves, and not only in what it strips, changes a verdict
     (count,) = args
-    agree = 0
-    for _ in range(count):
-        n = rng.randint(2, 5)
-        g = _random_graph(rng, n)
-        f = tuple(rng.randint(1, min(g.degree(v) + 2, 4)) for v in range(n))
+    agree = irreducible = 0
+    for i in range(count):
+        if i % 2:
+            g, f = _irreducible_instance(rng, rng.randint(3, 5))
+        else:
+            n = rng.randint(2, 5)
+            g = _random_graph(rng, n)
+            f = tuple(rng.randint(1, min(g.degree(v) + 2, 4)) for v in range(n))
+        if not reduce_size_function(g, f).steps:
+            irreducible += 1
         reduced = is_choosable(g, f, budget)
         unreduced = is_choosable(g, f, budget, reduce_first=False)
         if UnknownVerdict in (type(reduced), type(unreduced)):
@@ -369,7 +385,8 @@ def _t_reduction_equiv(args, memo, budget, rng):
             return False, {"agreements": count}, \
                 {"disagreement": {"graph": encode_graph6(g), "sizes": f}}, ""
         agree += 1
-    return True, {"agreements": count}, {"agreements": agree}, ""
+    return True, {"agreements": count}, \
+        {"agreements": agree, "irreducible": irreducible}, ""
 
 
 @_task("lemma3_direct_agreement")

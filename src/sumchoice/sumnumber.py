@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Union
 
@@ -130,7 +129,6 @@ class MemoStore:
     def __init__(self, path: str | None = None):
         self.path = path
         self._data: dict[str, SumChoiceRecord] = {}
-        self._lock = threading.Lock()
         self._torn_at: int | None = None  # byte offset of a torn final line
         self._unchecked: set[CanonicalKey] = set()
         if path:
@@ -168,42 +166,36 @@ class MemoStore:
         return len(self._data)
 
     def get(self, key: CanonicalKey) -> SumChoiceRecord | None:
-        with self._lock:
-            return self._data.get(key)
+        return self._data.get(key)
 
     def put(self, key: CanonicalKey, record: SumChoiceRecord) -> None:
-        with self._lock:
-            old = self._data.get(key)
-            if old is not None:
-                if (old.chi_sc, old.greedy_bound) != (record.chi_sc, record.greedy_bound):
-                    raise SumChoiceError(
-                        f"conflicting records for {key}: "
-                        f"{(old.chi_sc, old.greedy_bound)} vs "
-                        f"{(record.chi_sc, record.greedy_bound)}")
-                return
-            self._data[key] = record
-            if self.path:
-                if self._torn_at is not None:
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                with open(self.path, "a") as fh:
-                    fh.write(json.dumps({
-                        "canonical_graph6": key,
-                        "chi_sc": record.chi_sc,
-                        "gb": record.greedy_bound,
-                        "optimal_f": list(record.optimal_f),
-                        "rho": _encode_bound(record.rho),
-                        "tau": _encode_bound(record.tau),
-                    }) + "\n")
+        old = self._data.get(key)
+        if old is not None:
+            if (old.chi_sc, old.greedy_bound) != (record.chi_sc, record.greedy_bound):
+                raise SumChoiceError(
+                    f"conflicting records for {key}: "
+                    f"{(old.chi_sc, old.greedy_bound)} vs "
+                    f"{(record.chi_sc, record.greedy_bound)}")
+            return
+        self._data[key] = record
+        if self.path:
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            with open(self.path, "a") as fh:
+                fh.write(json.dumps({
+                    "canonical_graph6": key,
+                    "chi_sc": record.chi_sc,
+                    "gb": record.greedy_bound,
+                    "optimal_f": list(record.optimal_f),
+                    "rho": _encode_bound(record.rho),
+                    "tau": _encode_bound(record.tau),
+                }) + "\n")
 
     def known_not_sc_greedy(self) -> list[tuple[str, int]]:
         """(key, order) pairs of stored graphs with chi_sc < greedy bound."""
-        with self._lock:
-            out = []
-            for key, rec in self._data.items():
-                if not rec.sc_greedy:
-                    out.append((key, len(rec.optimal_f)))
-            return out
+        return [(key, len(rec.optimal_f)) for key, rec in self._data.items()
+                if not rec.sc_greedy]
 
 
 # ---------------------------------------------------------------------------

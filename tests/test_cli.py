@@ -55,10 +55,10 @@ class TestChiSc:
         assert "chi_sc = 6" in out
 
     def test_budget_stops_the_prism(self, capsys):
-        # K2 x K4, the prism over K4: several seconds without a budget
+        # P3 x P3, the 3 x 3 grid: several seconds without a budget
         start = time.monotonic()
         code, out, _ = run(capsys, "chi-sc", "--family",
-                           "product:complete:2,complete:4",
+                           "product:path:3,path:3",
                            "--budget", "1", "--json")
         assert code == 3 and json.loads(out)["unknown"] is True
         assert time.monotonic() - start < 1 + 2

@@ -142,6 +142,13 @@ def test_private_color_cut_keeps_verdicts_on_small_graphs():
     assert min(checked.values()) > 100
 
 
+# the uncut reference sweeps the unreduced instance with sum(f) colors, so
+# its cost grows with sum(f): over 525 random draws of order 5 with
+# 1 <= f <= deg + 1, the worst took about 95k nodes at sum(f) = 13, 225k at
+# 14 and more than 3M from 18 (K5 - e with f = (3,3,4,4,4): 6.4M)
+DRAWN_TOTAL_MAX = 13
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
@@ -149,7 +156,11 @@ def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
     pairs = vertex_pairs(n)
     g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
     assume(g.is_connected())
-    f = [data.draw(st.integers(1, g.degree(v) + 1)) for v in range(n)]
+    f = []
+    for v in range(n):
+        # leave at least 1 for each vertex still to draw
+        top = DRAWN_TOTAL_MAX - sum(f) - (n - 1 - v)
+        f.append(data.draw(st.integers(1, min(g.degree(v) + 1, top))))
     assert type(is_choosable(g, f)) is _uncut_verdict(g, f)
 
 
@@ -158,10 +169,10 @@ def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
 # stops trying its parent's coloring before the cache scan and the solver
 PINNED = {
     "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 215, 4),
-    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 3633,
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 4),
+    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 744,
              40),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 23476, 140),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 140),
     "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
 }
 
@@ -187,11 +198,14 @@ def test_pinned_verdicts_and_counts(monkeypatch):
     assert is_choosable(*PINNED["K3"][:2]).witness == ((0, 1), (0, 1), (0, 1))
 
 
-# --- the kernel as it was before its per-node state was carried down the
-# search: every node rebuilds the class masks from the lists and scans the
-# cache before the solver.  Its prune makes the same cuts as the kernel's,
-# the private-color cut included.  It shares the option order and the solver
-# with the kernel, so it pins the node order, prune decisions and witnesses.
+# --- the kernel with its prune as a cut: every option of a vertex is built,
+# and a node whose class masks, rebuilt from the lists, fail the prune is
+# cut.  The kernel instead generates only the options that pass, so its
+# nodes are the reference's nodes minus its cuts.  The reference makes the
+# same cuts, the private-color cut included, and probes a prefix in the same
+# three steps (the parent's coloring, the cache, the solver).  It shares the
+# option order and the solver with the kernel, so it pins the node order,
+# prune decisions, solver calls and witnesses.
 
 def _reference_neighborhood(adj, vertex_mask):
     nbr = 0
@@ -241,7 +255,9 @@ def _reference_allowed_old_colors(adj, lists, level, u, future, conn_prune):
 
 
 class ReferenceSweep:
-    """counters: 0 nodes, 1 assignments, 2 solver calls, 3 cache hits."""
+    """counters: 0 nodes, cut ones included, 1 assignments, 2 solver calls,
+    3 prefixes shown colorable without the solver.  ``run``'s node budget
+    counts only the nodes that survive the prune, as the kernel's does."""
 
     CACHE_SIZE = 64
 
@@ -254,8 +270,9 @@ class ReferenceSweep:
         self.color_of = [0] * m
         self.options = [iter(())] * m
         if m:
-            self.options[0] = _options(self.f[0], [], 0, self.u_cap)
+            self.options[0] = _options(self.f[0], 0, [], 0, self.u_cap)
         self.level = 0
+        self.colorings = [()] * (m + 1)
         self.cache = []
         self.cache_pos = 0
         self.counters = [0, 0, 0, 0]
@@ -278,16 +295,27 @@ class ReferenceSweep:
                 level -= 1
                 continue
             lists[level], u_after = option
-            nodes_here += 1
             counters[0] += 1
             prefix = (1 << (level + 1)) - 1
             future = full ^ prefix
             if self.conn_prune and not _reference_classes_ok(adj, lists, level, u_after,
                                                              future):
                 continue
+            nodes_here += 1
+            coloring = self.colorings[level]
+            forb = 0
+            for u in iter_bits(adj[level] & (prefix >> 1)):
+                forb |= coloring[u]
+            free = lists[level] & ~forb
             head = lists[:level + 1]
-            if any(plen > level and all(map(and_, head, bits)) for plen, bits in cache):
+            if free:
                 counters[3] += 1
+                self.colorings[level + 1] = coloring[:level] + (free & -free,)
+            elif (hit := next((bits for plen, bits in cache
+                               if plen > level and all(map(and_, head, bits))),
+                              None)) is not None:
+                counters[3] += 1
+                self.colorings[level + 1] = hit
             else:
                 counters[2] += 1
                 if not _solve_lists(adj, lists, prefix, 0, self.color_of):
@@ -296,6 +324,7 @@ class ReferenceSweep:
                     self.level = level
                     return SWEEP_WITNESS
                 entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
+                self.colorings[level + 1] = entry[1]
                 if len(cache) < self.CACHE_SIZE:
                     cache.append(entry)
                 else:
@@ -307,7 +336,7 @@ class ReferenceSweep:
             level += 1
             allowed = _reference_allowed_old_colors(adj, lists, level, u_after,
                                                     future ^ (1 << level), self.conn_prune)
-            self.options[level] = _options(f[level], allowed, u_after, self.u_cap)
+            self.options[level] = _options(f[level], 0, allowed, u_after, self.u_cap)
 
 
 def _sweep_input(g):
@@ -322,32 +351,41 @@ def _caps(sizes):
 
 
 def _observed(state, status):
-    """Everything the search decides: its status and position, the lists,
-    nodes, assignments and prune cuts (nodes neither the solver nor a
-    shortcut settled), and the witness."""
+    """Everything the search decides: its status and position, the prefix
+    it is extending (all the lists, on a witness), the nodes that survive
+    the prune, assignments, solver calls, prefixes settled without the
+    solver, and the witness."""
     c = state.counters
-    return (status, state.level, list(state.lists), c[0], c[1], c[0] - c[2] - c[3],
+    rows = state.lists if status == SWEEP_WITNESS else state.lists[:max(state.level, 0)]
+    return (status, state.level, list(rows), c[2] + c[3], c[1], c[2], c[3],
             tuple(tuple(iter_bits(row)) for row in state.lists)
             if status == SWEEP_WITNESS else None)
 
 
 def _assert_same_search(adj, sizes, cap, prune, chunk, chunks):
-    # both run in the same chunks, pausing and resuming, until they stop
+    """Both run in the same chunks, pausing and resuming, until they stop.
+    Returns whether they stopped within ``chunks`` chunks."""
     ref = ReferenceSweep(adj, sizes, cap, prune)
     new = SweepState(adj, sizes, cap, prune)
     for _ in range(chunks):
         expected = _observed(ref, ref.run(chunk))
         assert _observed(new, new.run(chunk)) == expected, (adj, sizes, cap, prune)
+        # the kernel's nodes are the reference's nodes minus its prune cuts
+        ref_cuts = ref.counters[0] - ref.counters[2] - ref.counters[3]
+        assert new.nodes == ref.counters[0] - ref_cuts
+        if not prune:
+            assert ref_cuts == 0
         if expected[0] == SWEEP_WITNESS:
             assert new.witness_lists() == expected[-1]
         if expected[0] != SWEEP_PAUSED:
-            return
+            return True
+    return False
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sweep_matches_reference_kernel(n):
-    # of the 240 sweeps over orders 1-5, 188 end within 3000 nodes; the
-    # rest are compared in their paused state there
+    # of the 240 sweeps over orders 1-5, 194 end within 3000 surviving
+    # nodes; the rest are compared in their paused state there
     for g in enumerate_connected_graphs(n):
         adj, _ = _sweep_input(g)
         degrees = [row.bit_count() for row in adj]

@@ -5,6 +5,7 @@ import pytest
 
 from sumchoice import (
     Budget, MemoStore, canonical_form, choosability, generate, graph_from_edges,
+    induced_subgraph,
 )
 from sumchoice.suites import (
     SUITE_NAMES, _TASKS, build_suite, run_suite, subdivide_edge,
@@ -72,6 +73,32 @@ def test_reduction_equivalence_catches_a_wrong_reduction(monkeypatch):
     def wrong(g, f):
         kept = [(u, v) for u, v in g.edges() if f[u] > 1 and f[v] > 1]
         return real(graph_from_edges(g.n, kept), f)
+
+    monkeypatch.setattr(choosability, "reduce_size_function", wrong)
+    ok, _expected, computed, _note = _TASKS["reduction_equivalence"](
+        (200,), MemoStore(), Budget.of(seconds=600), random.Random(1729))
+    assert not ok
+    assert "disagreement" in computed
+
+
+def test_reduction_equivalence_catches_a_reduction_that_drops_too_much(monkeypatch):
+    # a reduction that also strips the last vertex of an irreducible
+    # remainder as if its list were larger than its degree: G - v is often
+    # choosable when G is not, but a witness for G - v lifts into a sound
+    # one for G, so only the comparison on irreducible instances catches it
+    real = choosability.reduce_size_function
+
+    def wrong(g, f):
+        red = real(g, f)
+        if red.dead or red.graph.n == 0:
+            return red
+        keep = list(range(red.graph.n - 1))
+        red.steps.append(choosability.ReductionStep(
+            "surplus", red.vertex_map[-1], size=red.sizes[-1]))
+        return choosability.Reduction(
+            graph=induced_subgraph(red.graph, keep),
+            sizes=red.sizes[:-1], steps=red.steps,
+            vertex_map=red.vertex_map[:-1], dead=False)
 
     monkeypatch.setattr(choosability, "reduce_size_function", wrong)
     ok, _expected, computed, _note = _TASKS["reduction_equivalence"](

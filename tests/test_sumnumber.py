@@ -101,7 +101,7 @@ class TestTau:
         budget = Budget()
         rec = record(generate(Wheel(4)), MemoStore(), budget)
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
-        assert budget.nodes == 23572
+        assert budget.nodes == 4161
 
     @pytest.mark.parametrize("spec, calls", [
         (Wheel(4), 22), (CompleteBipartite(2, 3), 18), (Complete(4), 11)])
