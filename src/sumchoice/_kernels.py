@@ -34,7 +34,12 @@ test, before it scans the prefix cache or calls the solver.  With
 and the prune shapes the options of the next vertex: they are generated
 once per parent prefix from a per-class test of the classes, so the sweep
 never builds a prefix the prune would cut, and every node it counts is
-probed.
+probed.  Sibling prefixes share most of their classes, so each level
+memoizes the test's outcome per class mask, and the options per set of
+colors that must hold the vertex, set that may and number of colors used.
+Given the graph, the test is a function of (vertex, class mask) alone and
+the options of (vertex, key), so a lookup gives exactly what computing
+afresh would.
 """
 
 from __future__ import annotations
@@ -104,61 +109,90 @@ def _options(size: int, must: int, free: list[int], u: int,
             yield fresh + must + sum(old), u + k  # distinct bits: the sum is the union
 
 
+# outcomes of the prune's per-class test at one vertex, see ``_class_test``
+_OUT, _FREE, _MUST, _DEAD = range(4)
+
+# one vertex's options memo: (must, free, colors used) -> its option rows
+_OptionRows = dict[tuple[int, int, int], list[tuple[int, int]]]
+
+
+def _class_test(adj: list[int], v: int, reach: int, mask: int) -> int:
+    """The prune's test of one old color, with class mask M = ``mask`` on the
+    prefix before vertex ``v``, given that the parent prefix passed.
+
+    ``reach`` is the set of vertices up to v with a neighbour after v; a
+    component of a class still reaches when it meets it.  The color may hold
+    v when the component of v in M + v still reaches or is all of M + v (M
+    next to v), or when v and M both still reach (M apart from v: v is then
+    a component of its own).  It may stay out of v's list when every
+    component of M next to v still reaches or is all of M, with two or more
+    vertices.  Returns _FREE if both are allowed, _MUST if only holding v,
+    _OUT if only staying out, _DEAD if neither.
+
+    The outcome is a function of (v, M) alone: ``adj`` is fixed for a sweep
+    and ``reach`` for a vertex."""
+    adj_v = adj[v]
+    later = reach >> v & 1
+    if not mask & adj_v:
+        return _FREE if later and mask & reach else _OUT
+    may_omit = True
+    touched = 0
+    todo = mask & adj_v
+    while todo:
+        # flood the component of M that holds the lowest vertex of ``todo``
+        comp = frontier = todo & -todo
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = adj[low.bit_length() - 1] & mask & ~comp
+            comp |= grown
+            frontier |= grown
+        todo &= ~comp
+        touched |= comp
+        if not comp & reach and (comp != mask or not mask & (mask - 1)):
+            may_omit = False
+    may_hold = later or touched & reach or touched == mask
+    if may_omit:
+        return _FREE if may_hold else _OUT
+    return _MUST if may_hold else _DEAD
+
+
 def _pruned_options(adj: list[int], classes: list[int], v: int, reach: int,
-                    size: int, u_cap: int) -> Iterator[tuple[int, int]]:
+                    size: int, u_cap: int, tests: dict[int, int],
+                    rows: _OptionRows) -> Iterator[tuple[int, int]]:
     """The options of vertex ``v`` whose color classes can all still end up
     connected, given the class masks of the prefix before it, which passed.
 
-    ``reach`` is the set of vertices up to v with a neighbour after v; a
-    component of a class still reaches when it meets it.  Old color x with
-    class mask M may hold v when the component of v in M + v still reaches
-    or is all of M + v (M next to v), or when v and M both still reach (M
-    apart from v: v is then a component of its own).  x may stay out of v's
-    list when every component of M next to v still reaches or is all of M,
-    with two or more vertices.  A fresh color is a class {v}, so it needs a
-    later neighbour of v.  No other class changes from the parent's.
+    A fresh color is a class {v}, so it needs a later neighbour of v.  No
+    other class changes from the parent's, so the prune is an AND of
+    ``_class_test`` over the old colors, and the lists it passes are exactly
+    those with every _MUST color, any of the _FREE ones, and fresh colors.
+    They come in the order in which ``_options`` over all old colors gives
+    them: two old-color sets of one size are ordered by the smallest color
+    in only one of them, which the colors both must hold do not change.
 
-    The prune is an AND of these per-class tests, so the lists it passes are
-    exactly those with every color that may not stay out, any of the rest
-    that may hold v, and fresh colors.  They come in the order in which
-    ``_options`` over all old colors gives them: two old-color sets of one
-    size are ordered by the smallest color in only one of them, which the
-    colors both must hold do not change."""
-    bit = 1 << v
-    adj_v = adj[v]
-    later = bool(reach & bit)
-    must = 0
-    free = []
+    ``tests`` (class mask -> outcome) and ``rows`` ((must, free, u) -> the
+    options) are v's memos, owned by the caller and valid for v alone; both
+    are exact, as each value is a function of its key and v."""
+    must = free = 0
     for x, mask in enumerate(classes):
-        if not mask & adj_v:
-            if later and mask & reach:
-                free.append(x)
-            continue
-        may_omit = True
-        touched = 0
-        todo = mask & adj_v
-        while todo:
-            # flood the component of M that holds the lowest vertex of ``todo``
-            comp = frontier = todo & -todo
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                grown = adj[low.bit_length() - 1] & mask & ~comp
-                comp |= grown
-                frontier |= grown
-            todo &= ~comp
-            touched |= comp
-            if not comp & reach and (comp != mask or not mask & (mask - 1)):
-                may_omit = False
-        may_hold = later or bool(touched & reach) or touched == mask
-        if not may_omit:
-            if not may_hold:
-                return iter(())
+        test = tests.get(mask)
+        if test is None:
+            test = tests[mask] = _class_test(adj, v, reach, mask)
+        if test == _FREE:
+            free |= 1 << x
+        elif test == _MUST:
             must |= 1 << x
-        elif may_hold:
-            free.append(x)
+        elif test == _DEAD:
+            return iter(())
     u = len(classes)
-    return _options(size, must, free, u, u_cap if later else u)
+    key = (must, free, u)
+    found = rows.get(key)
+    if found is None:
+        found = rows[key] = list(_options(
+            size, must, [x for x in range(u) if free >> x & 1], u,
+            u_cap if reach >> v & 1 else u))
+    return iter(found)
 
 
 class SweepState:
@@ -185,6 +219,14 @@ class SweepState:
     is ever built.  SWEEP_DONE then proves only the assignments with
     connected classes and no private color colorable.
 
+    Each level keeps two memos for its vertex v, filled as the sweep goes
+    and freed with the state: the per-class test's outcome by class mask M,
+    and the options by (must, free, colors used).  They are exact because
+    the test reads only ``adj``, v, ``reach[v]`` and M, and the first three
+    are fixed for the sweep, as are v's list size and color cap.  The
+    colors of v's earlier neighbours in the parent prefix's coloring are
+    likewise computed once, when the level is entered, not per sibling.
+
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
     3 prefixes shown colorable without the solver (by step 1 or 2).  Every
     node is probed, so counters[0] == counters[2] + counters[3].
@@ -209,12 +251,18 @@ class SweepState:
         self.reach = [sum(1 << u for u in range(v + 1) if adj_masks[u] >> (v + 1))
                       for v in range(m)]
         self.level = 0
+        # per level, the colors of that vertex's earlier neighbours in its
+        # parent prefix's coloring: set when the level is entered
+        self.forbidden = [0] * m
         # entry j: a coloring (color bit per vertex) of the prefix of the
         # first j vertices, and per color its class mask on that prefix
         self.colorings: list[tuple[int, ...]] = [()] * (m + 1)
         self.classes: list[list[int]] = [[]] * (m + 1)
         # per level, the iterator over that vertex's remaining options
         self.options = [iter(())] * m
+        # per level, the prune's memos for that vertex (see _pruned_options)
+        self.class_tests: list[dict[int, int]] = [{} for _ in range(m)]
+        self.option_rows: list[_OptionRows] = [{} for _ in range(m)]
         if m:
             self.options[0] = self._level_options(0, 0)
         # ring cache of colorable prefixes: (prefix length, color bit per vertex)
@@ -225,7 +273,8 @@ class SweepState:
     def _level_options(self, level: int, u: int) -> Iterator[tuple[int, int]]:
         if self.conn_prune:
             return _pruned_options(self.adj, self.classes[level], level,
-                                   self.reach[level], self.f[level], self.u_cap)
+                                   self.reach[level], self.f[level], self.u_cap,
+                                   self.class_tests[level], self.option_rows[level])
         return _options(self.f[level], 0, list(range(u)), u, self.u_cap)
 
     def run(self, node_budget: int) -> int:
@@ -234,6 +283,7 @@ class SweepState:
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
         counters, cache = self.counters, self.cache
         colorings, classes, earlier = self.colorings, self.classes, self.earlier
+        forbidden = self.forbidden
         conn_prune = self.conn_prune
         level = self.level
         nodes_here = 0
@@ -254,14 +304,10 @@ class SweepState:
             counters[0] += 1
             prefix = (1 << (level + 1)) - 1
             # the parent's coloring extends if a color of the list is free
-            coloring = colorings[level]
-            forb = 0
-            for u in earlier[level]:
-                forb |= coloring[u]
-            free = row & ~forb
+            free = row & ~forbidden[level]
             if free:
                 counters[3] += 1
-                colorings[level + 1] = coloring[:level] + (free & -free,)
+                colorings[level + 1] = colorings[level][:level] + (free & -free,)
             else:
                 # cache hit: a stored coloring reaches past this prefix and fits its lists
                 head = lists[:level + 1]
@@ -297,6 +343,11 @@ class SweepState:
                     masks[low.bit_length() - 1] |= bit
                 classes[level + 1] = masks
             level += 1
+            coloring = colorings[level]
+            forb = 0
+            for u in earlier[level]:
+                forb |= coloring[u]
+            forbidden[level] = forb
             self.options[level] = self._level_options(level, u_after)
 
     @property

@@ -122,8 +122,9 @@ class MemoStore:
     crash during an append leaves behind; it is ignored on load and cut off
     before the next append.  Any other malformed line raises SumChoiceError.
 
-    Records read from the file are not trusted: their keys stay in
-    ``_unchecked`` until ``chi_sc`` has checked the record on its first hit.
+    Records read from the file are not trusted: ``check_first_hit`` checks
+    each on its first hit, and their keys stay in ``_unchecked`` until a
+    check passes.
     """
 
     def __init__(self, path: str | None = None):
@@ -167,6 +168,19 @@ class MemoStore:
 
     def get(self, key: CanonicalKey) -> SumChoiceRecord | None:
         return self._data.get(key)
+
+    def check_first_hit(self, key: CanonicalKey, record: SumChoiceRecord,
+                        budget: Budget | None) -> ChiUnknown | None:
+        """Check ``record``, read from the file under ``key``, the first time
+        it is hit (see ``_check_memo_record``).  None when it holds or was
+        checked before, ChiUnknown when the budget ran out first (the record
+        stays unchecked); a wrong record raises SumChoiceError."""
+        if key not in self._unchecked:
+            return None
+        unknown = _check_memo_record(key, record, self, budget)
+        if unknown is None:
+            self._unchecked.discard(key)
+        return unknown
 
     def put(self, key: CanonicalKey, record: SumChoiceRecord) -> None:
         old = self._data.get(key)
@@ -372,11 +386,9 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     if key is not None:
         hit = memo.get(key)
         if hit is not None:
-            if key in memo._unchecked:
-                unknown = _check_memo_record(key, hit, memo, budget)
-                if unknown is not None:
-                    return unknown
-                memo._unchecked.discard(key)
+            unknown = memo.check_first_hit(key, hit, budget)
+            if unknown is not None:
+                return unknown
             inverse = [0] * g.n
             for v, p in enumerate(perm):
                 inverse[p] = v

@@ -406,3 +406,31 @@ def test_paused_sweep_matches_reference_kernel(data):
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     cap = data.draw(st.sampled_from(_caps(sizes)))
     _assert_same_search(adj, sizes, cap, data.draw(st.booleans()), 700, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_memoized_options_equal_fresh_ones(data):
+    # one state answers every query through its memos, at several vertices
+    # and in a drawn order; a fresh state answers each from empty memos.  The
+    # class indices are few, so one mask recurs at different vertices.
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    pairs = vertex_pairs(n)
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+    assume(g.is_connected())
+    adj, _ = _sweep_input(g)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    cap = data.draw(st.sampled_from(_caps(sizes)))
+    shared = SweepState(adj, sizes, cap, True)
+    for _ in range(data.draw(st.integers(1, 12))):
+        v = data.draw(st.integers(1, n - 1))
+        n_classes = data.draw(st.integers(1, 3))
+        classes = [0] * n_classes
+        for u in range(v):
+            x = data.draw(st.integers(-1, n_classes - 1))  # -1: in no class
+            if x >= 0:
+                classes[x] |= 1 << u
+        fresh = SweepState(adj, sizes, cap, True)
+        fresh.classes[v] = shared.classes[v] = classes
+        expected = list(fresh._level_options(v, n_classes))
+        assert list(shared._level_options(v, n_classes)) == expected, (adj, v, classes)
