@@ -15,37 +15,34 @@ assignments: scanning vertices in a fixed order, a new color may enter a
 list only as the smallest unused integer.  Options at each vertex are
 ordered by number of fresh colors ascending (maximal reuse first, which
 finds uncolorable assignments early) and lexicographically within that.
-When ``conn_prune`` is on, no branch is built whose partial color classes
-can no longer end up connected in the graph; an uncolorable assignment can
-always be rewritten, by splitting a disconnected color class into two
-colors, into an uncolorable assignment whose classes are all connected.
-The prune also drops branches in which a vertex holds a color that none of
-its neighbours can hold (a private color): a class that is a single vertex
-with no future neighbour.  Such an assignment is colorable iff its
-restriction to G - v is, so the caller (``choosability.is_choosable``)
-covers these assignments by checking every G - v instead.  With the prune,
-a sweep certifies choosability only together with those checks; with
-``conn_prune`` off it makes no cut and is the reference.
+No branch is built whose partial color classes can no longer end up
+connected in the graph; an uncolorable assignment can always be
+rewritten, by splitting a disconnected color class into two colors, into
+an uncolorable assignment whose classes are all connected.  The prune also
+drops branches in which a vertex holds a color that none of its neighbours
+can hold (a private color): a class that is a single vertex with no future
+neighbour.  Such an assignment is colorable iff its restriction to G - v
+is, so the caller (``choosability.is_choosable``) covers these assignments
+by checking every G - v instead.  A sweep certifies choosability only
+together with those checks.
 
 Each node's work is incremental.  Every level keeps one coloring of its
 prefix, and a child first tries to extend it to the new vertex, an O(deg)
-test, before it scans the prefix cache or calls the solver.  With
-``conn_prune`` on, every level also keeps its prefix's color class masks,
-and the prune shapes the options of the next vertex: they are generated
-once per parent prefix from a per-class test of the classes, so the sweep
-never builds a prefix the prune would cut, and every node it counts is
-probed.  Sibling prefixes share most of their classes, so each level
-memoizes the test's outcome per class mask, and the options per set of
-colors that must hold the vertex, set that may and number of colors used.
-Given the graph, the test is a function of (vertex, class mask) alone and
-the options of (vertex, key), so a lookup gives exactly what computing
-afresh would.
+test, before it calls the solver.  Every level also keeps its prefix's
+color class masks, and the prune shapes the options of the next vertex:
+they are generated once per parent prefix from a per-class test of the
+classes, so the sweep never builds a prefix the prune would cut, and every
+node it counts is probed.  Sibling prefixes share most of their classes,
+so each level memoizes the test's outcome per class mask, and the options
+per set of colors that must hold the vertex, set that may and number of
+colors used.  Given the graph, the test is a function of (vertex, class
+mask) alone and the options of (vertex, key), so a lookup gives exactly
+what computing afresh would.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import and_
 from typing import Iterator
 
 SWEEP_DONE = 0
@@ -200,24 +197,21 @@ class SweepState:
 
     Probes every prefix for colorability; an uncolorable prefix is completed
     with arbitrary valid lists into a witness.  Each prefix is probed in
-    three steps, cheapest first:
+    two steps, cheapest first:
 
     1. the parent prefix's coloring, kept per level, is extended to the new
        vertex if a color of its list is free among its earlier neighbours;
-    2. else a ring cache of CACHE_SIZE solver colorings is scanned for one
-       that reaches past this prefix and fits its lists;
-    3. else the solver colors the prefix from scratch, and its coloring
-       enters the cache.
+    2. else the solver colors the prefix from scratch.
 
-    The coloring found becomes the prefix's own, for its children.  With
-    ``conn_prune`` on, the color class masks of each prefix are kept per
-    level too: a child's are its parent's plus the new vertex in each color
-    of its list.  The prune then shapes each vertex's options: once per
-    parent prefix, ``_pruned_options`` keeps only the lists under which
-    every class can still end up connected and no class is a single vertex
-    with no future neighbour (a private color), so no prefix it would cut
-    is ever built.  SWEEP_DONE then proves only the assignments with
-    connected classes and no private color colorable.
+    The coloring found becomes the prefix's own, for its children.  The
+    color class masks of each prefix are kept per level too: a child's are
+    its parent's plus the new vertex in each color of its list.  The prune
+    then shapes each vertex's options: once per parent prefix,
+    ``_pruned_options`` keeps only the lists under which every class can
+    still end up connected and no class is a single vertex with no future
+    neighbour (a private color), so no prefix it would cut is ever built.
+    SWEEP_DONE then proves only the assignments with connected classes and
+    no private color colorable.
 
     Each level keeps two memos for its vertex v, filled as the sweep goes
     and freed with the state: the per-class test's outcome by class mask M,
@@ -228,20 +222,16 @@ class SweepState:
     likewise computed once, when the level is entered, not per sibling.
 
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
-    3 prefixes shown colorable without the solver (by step 1 or 2).  Every
+    3 prefixes colored by extending the parent's coloring (step 1).  Every
     node is probed, so counters[0] == counters[2] + counters[3].
     """
 
-    CACHE_SIZE = 64
-
-    def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int,
-                 conn_prune: bool):
+    def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int):
         m = len(sizes)
         self.m = m
         self.adj = list(adj_masks)
         self.f = list(sizes)
         self.u_cap = min(u_cap, sum(sizes))
-        self.conn_prune = conn_prune
         self.lists = [0] * m
         self.color_of = [0] * m
         # per vertex, its neighbours earlier in the order
@@ -264,27 +254,20 @@ class SweepState:
         self.class_tests: list[dict[int, int]] = [{} for _ in range(m)]
         self.option_rows: list[_OptionRows] = [{} for _ in range(m)]
         if m:
-            self.options[0] = self._level_options(0, 0)
-        # ring cache of colorable prefixes: (prefix length, color bit per vertex)
-        self.cache: list[tuple[int, tuple[int, ...]]] = []
-        self.cache_pos = 0
+            self.options[0] = self._level_options(0)
         self.counters = [0, 0, 0, 0]
 
-    def _level_options(self, level: int, u: int) -> Iterator[tuple[int, int]]:
-        if self.conn_prune:
-            return _pruned_options(self.adj, self.classes[level], level,
-                                   self.reach[level], self.f[level], self.u_cap,
-                                   self.class_tests[level], self.option_rows[level])
-        return _options(self.f[level], 0, list(range(u)), u, self.u_cap)
+    def _level_options(self, level: int) -> Iterator[tuple[int, int]]:
+        return _pruned_options(self.adj, self.classes[level], level,
+                               self.reach[level], self.f[level], self.u_cap,
+                               self.class_tests[level], self.option_rows[level])
 
     def run(self, node_budget: int) -> int:
         """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,
         SWEEP_WITNESS or SWEEP_PAUSED (call again to resume)."""
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
-        counters, cache = self.counters, self.cache
-        colorings, classes, earlier = self.colorings, self.classes, self.earlier
-        forbidden = self.forbidden
-        conn_prune = self.conn_prune
+        counters, colorings, classes = self.counters, self.colorings, self.classes
+        earlier, forbidden = self.earlier, self.forbidden
         level = self.level
         nodes_here = 0
         while True:
@@ -302,53 +285,38 @@ class SweepState:
             lists[level] = row
             nodes_here += 1
             counters[0] += 1
-            prefix = (1 << (level + 1)) - 1
             # the parent's coloring extends if a color of the list is free
             free = row & ~forbidden[level]
             if free:
                 counters[3] += 1
-                colorings[level + 1] = colorings[level][:level] + (free & -free,)
+                colorings[level + 1] = colorings[level] + (free & -free,)
             else:
-                # cache hit: a stored coloring reaches past this prefix and fits its lists
-                head = lists[:level + 1]
-                for plen, bits in cache:
-                    if plen > level and all(map(and_, head, bits)):
-                        counters[3] += 1
-                        colorings[level + 1] = bits
-                        break
-                else:
-                    counters[2] += 1
-                    if not _solve_lists(adj, lists, prefix, 0, self.color_of):
-                        for j in range(level + 1, m):
-                            lists[j] = (1 << f[j]) - 1
-                        self.level = level
-                        return SWEEP_WITNESS
-                    entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
-                    colorings[level + 1] = entry[1]
-                    if len(cache) < self.CACHE_SIZE:
-                        cache.append(entry)
-                    else:
-                        cache[self.cache_pos] = entry
-                    self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
+                counters[2] += 1
+                if not _solve_lists(adj, lists, (1 << (level + 1)) - 1, 0,
+                                    self.color_of):
+                    for j in range(level + 1, m):
+                        lists[j] = (1 << f[j]) - 1
+                    self.level = level
+                    return SWEEP_WITNESS
+                colorings[level + 1] = tuple(1 << c for c in self.color_of[:level + 1])
             if level == m - 1:
                 counters[1] += 1
                 continue
-            if conn_prune:
-                bit = 1 << level
-                masks = classes[level] + [0] * (u_after - len(classes[level]))
-                rest = row
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    masks[low.bit_length() - 1] |= bit
-                classes[level + 1] = masks
+            bit = 1 << level
+            masks = classes[level] + [0] * (u_after - len(classes[level]))
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                masks[low.bit_length() - 1] |= bit
+            classes[level + 1] = masks
             level += 1
             coloring = colorings[level]
             forb = 0
             for u in earlier[level]:
                 forb |= coloring[u]
             forbidden[level] = forb
-            self.options[level] = self._level_options(level, u_after)
+            self.options[level] = self._level_options(level)
 
     @property
     def nodes(self) -> int:

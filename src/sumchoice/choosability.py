@@ -294,9 +294,9 @@ class _SweepOutcome:
     nodes: int
 
 
-def _run_sweep(adj: list[int], sizes: list[int], u_cap: int, conn_prune: bool,
+def _run_sweep(adj: list[int], sizes: list[int], u_cap: int,
                budget: Budget | None, context: str) -> _SweepOutcome:
-    state = _kernels.SweepState(adj, sizes, u_cap, conn_prune)
+    state = _kernels.SweepState(adj, sizes, u_cap)
     while True:
         before = state.nodes
         status = state.run(CHUNK_NODES)
@@ -389,7 +389,7 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
                 caps.append(max(comp_sizes) + 2)
             caps.append(total)
             for cap in caps:
-                out = _run_sweep(adj, comp_sizes, cap, conn_prune=True, budget=budget,
+                out = _run_sweep(adj, comp_sizes, cap, budget=budget,
                                  context=f"choosability sweep (cap {cap})")
                 total_nodes += out.nodes
                 if out.witness is not None:
@@ -452,12 +452,13 @@ def find_forcing_assignment(g: Graph, f: Sequence[int], vertex: int,
         raise ValueError(f"size function has {len(f)} entries for order {g.n}")
     if not colors:
         raise ValueError("need at least one target color")
-    target = sorted(set(colors))
+    target_set = set(colors)
+    target = sorted(target_set)
     s = len(target)
     free_values: list[int] = []
     c = 0
     while len(free_values) < sum(f):
-        if c not in set(target):
+        if c not in target_set:
             free_values.append(c)
         c += 1
 
@@ -475,7 +476,7 @@ def find_forcing_assignment(g: Graph, f: Sequence[int], vertex: int,
         if is_list_colorable(g, cand) is None:
             return False
         stripped = [list(row) for row in cand]
-        stripped[vertex] = [c for c in stripped[vertex] if c not in target]
+        stripped[vertex] = [c for c in stripped[vertex] if c not in target_set]
         return is_list_colorable(g, stripped) is None
 
     def rec(i: int, used_free: int) -> ListAssignment | None:
@@ -499,4 +500,7 @@ def find_forcing_assignment(g: Graph, f: Sequence[int], vertex: int,
                     return hit
         return None
 
-    return rec(0, 0)
+    found = rec(0, 0)
+    if budget is not None:
+        budget.add_nodes(counter[0] % 4096)  # the nodes since the last full block
+    return found

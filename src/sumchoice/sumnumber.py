@@ -111,6 +111,11 @@ def _decode_bound(x):
     return int(x)
 
 
+# the memo record format ``MemoStore.put`` writes; a record without the field
+# predates it and has the same layout
+_MEMO_FORMAT = 1
+
+
 class MemoStore:
     """Canonical-key -> record map with optional JSON-lines persistence.
 
@@ -120,7 +125,9 @@ class MemoStore:
 
     A final line with no trailing newline that does not parse is what a
     crash during an append leaves behind; it is ignored on load and cut off
-    before the next append.  Any other malformed line raises SumChoiceError.
+    before the next append.  Any other malformed line, a record of another
+    format than ``_MEMO_FORMAT`` (a missing field reads as it) and a file
+    that cannot be read or appended to raise SumChoiceError.
 
     Records read from the file are not trusted: ``check_first_hit`` checks
     each on its first hit, and their keys stay in ``_unchecked`` until a
@@ -138,6 +145,8 @@ class MemoStore:
                     text = fh.read()
             except FileNotFoundError:
                 return
+            except OSError as exc:
+                raise SumChoiceError(f"cannot read memo file {path}: {exc.strerror}") from exc
             lines = text.split(b"\n")
             for number, line in enumerate(lines, 1):
                 if not line.strip():
@@ -149,6 +158,10 @@ class MemoStore:
                         self._torn_at = len(text) - len(line)
                         continue
                     raise SumChoiceError(f"{path}:{number}: malformed memo line") from exc
+                if isinstance(obj, dict) and obj.get("format", _MEMO_FORMAT) != _MEMO_FORMAT:
+                    raise SumChoiceError(
+                        f"{path}:{number}: memo format {obj['format']!r}, "
+                        f"this version reads {_MEMO_FORMAT}")
                 try:
                     self._data[obj["canonical_graph6"]] = SumChoiceRecord(
                         chi_sc=obj["chi_sc"],
@@ -192,12 +205,15 @@ class MemoStore:
                     f"{(record.chi_sc, record.greedy_bound)}")
             return
         self._data[key] = record
-        if self.path:
+        if not self.path:
+            return
+        try:
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
             with open(self.path, "a") as fh:
                 fh.write(json.dumps({
+                    "format": _MEMO_FORMAT,
                     "canonical_graph6": key,
                     "chi_sc": record.chi_sc,
                     "gb": record.greedy_bound,
@@ -205,6 +221,8 @@ class MemoStore:
                     "rho": _encode_bound(record.rho),
                     "tau": _encode_bound(record.tau),
                 }) + "\n")
+        except OSError as exc:
+            raise SumChoiceError(f"cannot write memo file {self.path}: {exc.strerror}") from exc
 
     def known_not_sc_greedy(self) -> list[tuple[str, int]]:
         """(key, order) pairs of stored graphs with chi_sc < greedy bound."""

@@ -303,6 +303,14 @@ class TestForcing:
     def test_k1_pair_cannot_force(self):
         assert find_forcing_assignment(empty_graph(1), (2,), 0, [5]) is None
 
+    def test_budget_counts_every_node(self):
+        # both searches stop well inside one 4096-node block
+        budget = Budget()
+        assert find_forcing_assignment(generate(Cycle(4)), (1, 2, 2, 3), 0, [3], budget)
+        assert budget.nodes == 4  # one option per vertex: the first one forces
+        assert find_forcing_assignment(empty_graph(1), (2,), 0, [5], budget) is None
+        assert budget.nodes == 4 + 1  # only {0, 5}: a list without 5 is skipped
+
     def test_c4_greedy_function_forces_everywhere(self):
         g = generate(Cycle(4))
         f = (1, 2, 2, 3)

@@ -91,6 +91,28 @@ class TestChiSc:
         assert code == 2
         assert "malformed memo line" in err
 
+    def test_memo_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "chi-sc", "--family", "path:3", "--cache", str(tmp_path))
+        assert code == 2 and not out
+        assert "cannot read memo file" in err and str(tmp_path) in err
+
+    def test_memo_path_in_a_missing_directory_exits_2(self, capsys, tmp_path):
+        cache = tmp_path / "missing" / "dir" / "x.jsonl"
+        code, out, err = run(capsys, "chi-sc", "--family", "path:3", "--cache", str(cache))
+        assert code == 2 and not out
+        assert "cannot write memo file" in err and str(cache) in err
+
+    def test_memo_record_of_another_format_exits_2(self, capsys, tmp_path):
+        cache = tmp_path / "memo.jsonl"
+        run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert all(rec["format"] == 1 for rec in records)
+        records[0]["format"] = 2
+        cache.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        code, out, err = run(capsys, "chi-sc", "--family", "complete:3", "--cache", str(cache))
+        assert code == 2 and not out
+        assert f"{cache}:1: memo format 2" in err
+
 
 class TestChoosable:
     def test_triangle_witness(self, capsys):

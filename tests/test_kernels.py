@@ -1,11 +1,11 @@
 """Kernel-level checks: the solver must agree with brute force on any color
-values, the sweep must match the reference enumeration and a reference copy
-of the kernel that rebuilds its state at every node, and the verdicts and
-search counts of a few fixed cases are pinned."""
+values, a reference copy of the kernel that rebuilds its state at every
+node must match the reference enumeration with its prune off and the
+kernel with it on, and the verdicts and search counts of a few fixed cases
+are pinned."""
 
 import itertools
 import random
-from operator import and_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -53,7 +53,7 @@ def test_list_colorable_agrees_with_brute_force_past_63_colors():
 
 
 def test_sweep_leaf_count_matches_reference_stream():
-    # with pruning off, the kernel must examine exactly the canonical classes
+    # with pruning off, the reference must examine exactly the canonical classes
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(1, 4)
@@ -63,14 +63,11 @@ def test_sweep_leaf_count_matches_reference_stream():
         order = _bfs_order(g, (1 << n) - 1) if g.is_connected() else list(range(n))
         if not g.is_connected():
             continue
-        out = _run_sweep(
-            [_relabel_adj(g, order)[v] for v in range(n)],
-            [f[v] for v in order], sum(f), conn_prune=False,
-            budget=None, context="test")
-        if out.witness is not None:
+        ref, status = _uncut_sweep(_relabel_adj(g, order), [f[v] for v in order])
+        if status == SWEEP_WITNESS:
             continue  # a witness stops the count early by design
         stream = list(canonical_assignments(g, f, order=order))
-        assert out.assignments == len(stream)
+        assert ref.counters[1] == len(stream)
 
 
 def _relabel_adj(g, order):
@@ -115,18 +112,25 @@ def test_conn_prune_does_not_change_verdicts():
         order = _bfs_order(g, (1 << n) - 1)
         adj = _relabel_adj(g, order)
         sizes = [f[v] for v in order]
-        a = _run_sweep(adj, sizes, sum(f), conn_prune=True, budget=None, context="test")
-        b = _run_sweep(adj, sizes, sum(f), conn_prune=False, budget=None, context="test")
-        assert (a.witness is None) == (b.witness is None)
+        out = _run_sweep(adj, sizes, sum(f), budget=None, context="test")
+        _, status = _uncut_sweep(adj, sizes)
+        assert (out.witness is None) == (status == SWEEP_DONE)
+
+
+def _uncut_sweep(adj, sizes):
+    # the full-cap reference sweep with no prune at all, run to its end
+    ref = ReferenceSweep(adj, sizes, sum(sizes), conn_prune=False)
+    status = SWEEP_PAUSED
+    while status == SWEEP_PAUSED:
+        status = ref.run(1 << 20)
+    return ref, status
 
 
 def _uncut_verdict(g, f):
-    # the full-cap sweep with no prune at all: the reference for the cut
+    # the reference for the cut
     adj, order = _sweep_input(g)
-    sizes = [f[v] for v in order]
-    out = _run_sweep(adj, sizes, sum(sizes), conn_prune=False, budget=None,
-                     context="test")
-    return Choosable if out.witness is None else NotChoosable
+    _, status = _uncut_sweep(adj, [f[v] for v in order])
+    return Choosable if status == SWEEP_DONE else NotChoosable
 
 
 def test_private_color_cut_keeps_verdicts_on_small_graphs():
@@ -165,14 +169,14 @@ def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
 
 
 # verdict, assignments_examined, nodes and summed solver calls of a few
-# fixed cases, the G - v checks included; the solver calls drop if a prefix
-# stops trying its parent's coloring before the cache scan and the solver
+# fixed cases, the G - v checks included; the solver calls rise if a prefix
+# stops trying its parent's coloring before the solver
 PINNED = {
     "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 4),
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 8),
     "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 744,
-             40),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 140),
+             96),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 394),
     "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
 }
 
@@ -203,9 +207,9 @@ def test_pinned_verdicts_and_counts(monkeypatch):
 # cut.  The kernel instead generates only the options that pass, so its
 # nodes are the reference's nodes minus its cuts.  The reference makes the
 # same cuts, the private-color cut included, and probes a prefix in the same
-# three steps (the parent's coloring, the cache, the solver).  It shares the
-# option order and the solver with the kernel, so it pins the node order,
-# prune decisions, solver calls and witnesses.
+# two steps (the parent's coloring, then the solver).  It shares the option
+# order and the solver with the kernel, so it pins the node order, prune
+# decisions, solver calls and witnesses.
 
 def _reference_neighborhood(adj, vertex_mask):
     nbr = 0
@@ -256,10 +260,10 @@ def _reference_allowed_old_colors(adj, lists, level, u, future, conn_prune):
 
 class ReferenceSweep:
     """counters: 0 nodes, cut ones included, 1 assignments, 2 solver calls,
-    3 prefixes shown colorable without the solver.  ``run``'s node budget
-    counts only the nodes that survive the prune, as the kernel's does."""
-
-    CACHE_SIZE = 64
+    3 prefixes colored by extending the parent's coloring.  ``run``'s node
+    budget counts only the nodes that survive the prune, as the kernel's
+    does.  With ``conn_prune`` off it makes no cut and is the reference for
+    the prune."""
 
     def __init__(self, adj, sizes, u_cap, conn_prune):
         m = len(sizes)
@@ -273,13 +277,11 @@ class ReferenceSweep:
             self.options[0] = _options(self.f[0], 0, [], 0, self.u_cap)
         self.level = 0
         self.colorings = [()] * (m + 1)
-        self.cache = []
-        self.cache_pos = 0
         self.counters = [0, 0, 0, 0]
 
     def run(self, node_budget):
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
-        counters, cache = self.counters, self.cache
+        counters = self.counters
         full = (1 << m) - 1
         level = self.level
         nodes_here = 0
@@ -307,15 +309,9 @@ class ReferenceSweep:
             for u in iter_bits(adj[level] & (prefix >> 1)):
                 forb |= coloring[u]
             free = lists[level] & ~forb
-            head = lists[:level + 1]
             if free:
                 counters[3] += 1
-                self.colorings[level + 1] = coloring[:level] + (free & -free,)
-            elif (hit := next((bits for plen, bits in cache
-                               if plen > level and all(map(and_, head, bits))),
-                              None)) is not None:
-                counters[3] += 1
-                self.colorings[level + 1] = hit
+                self.colorings[level + 1] = coloring + (free & -free,)
             else:
                 counters[2] += 1
                 if not _solve_lists(adj, lists, prefix, 0, self.color_of):
@@ -323,13 +319,7 @@ class ReferenceSweep:
                         lists[j] = (1 << f[j]) - 1
                     self.level = level
                     return SWEEP_WITNESS
-                entry = (level + 1, tuple(1 << c for c in self.color_of[:level + 1]))
-                self.colorings[level + 1] = entry[1]
-                if len(cache) < self.CACHE_SIZE:
-                    cache.append(entry)
-                else:
-                    cache[self.cache_pos] = entry
-                self.cache_pos = (self.cache_pos + 1) % self.CACHE_SIZE
+                self.colorings[level + 1] = tuple(1 << c for c in self.color_of[:level + 1])
             if level == m - 1:
                 counters[1] += 1
                 continue
@@ -362,19 +352,17 @@ def _observed(state, status):
             if status == SWEEP_WITNESS else None)
 
 
-def _assert_same_search(adj, sizes, cap, prune, chunk, chunks):
+def _assert_same_search(adj, sizes, cap, chunk, chunks):
     """Both run in the same chunks, pausing and resuming, until they stop.
     Returns whether they stopped within ``chunks`` chunks."""
-    ref = ReferenceSweep(adj, sizes, cap, prune)
-    new = SweepState(adj, sizes, cap, prune)
+    ref = ReferenceSweep(adj, sizes, cap, conn_prune=True)
+    new = SweepState(adj, sizes, cap)
     for _ in range(chunks):
         expected = _observed(ref, ref.run(chunk))
-        assert _observed(new, new.run(chunk)) == expected, (adj, sizes, cap, prune)
+        assert _observed(new, new.run(chunk)) == expected, (adj, sizes, cap)
         # the kernel's nodes are the reference's nodes minus its prune cuts
         ref_cuts = ref.counters[0] - ref.counters[2] - ref.counters[3]
         assert new.nodes == ref.counters[0] - ref_cuts
-        if not prune:
-            assert ref_cuts == 0
         if expected[0] == SWEEP_WITNESS:
             assert new.witness_lists() == expected[-1]
         if expected[0] != SWEEP_PAUSED:
@@ -384,15 +372,14 @@ def _assert_same_search(adj, sizes, cap, prune, chunk, chunks):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sweep_matches_reference_kernel(n):
-    # of the 240 sweeps over orders 1-5, 194 end within 3000 surviving
+    # of the 120 sweeps over orders 1-5, 115 end within 3000 surviving
     # nodes; the rest are compared in their paused state there
     for g in enumerate_connected_graphs(n):
         adj, _ = _sweep_input(g)
         degrees = [row.bit_count() for row in adj]
         for sizes in ([2] * n, [min(3, d + 1) for d in degrees]):
             for cap in _caps(sizes):
-                for prune in (True, False):
-                    _assert_same_search(adj, sizes, cap, prune, 1000, 3)
+                _assert_same_search(adj, sizes, cap, 1000, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,7 +392,7 @@ def test_paused_sweep_matches_reference_kernel(data):
     adj, _ = _sweep_input(g)
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     cap = data.draw(st.sampled_from(_caps(sizes)))
-    _assert_same_search(adj, sizes, cap, data.draw(st.booleans()), 700, 2)
+    _assert_same_search(adj, sizes, cap, 700, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -421,7 +408,7 @@ def test_memoized_options_equal_fresh_ones(data):
     adj, _ = _sweep_input(g)
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     cap = data.draw(st.sampled_from(_caps(sizes)))
-    shared = SweepState(adj, sizes, cap, True)
+    shared = SweepState(adj, sizes, cap)
     for _ in range(data.draw(st.integers(1, 12))):
         v = data.draw(st.integers(1, n - 1))
         n_classes = data.draw(st.integers(1, 3))
@@ -430,7 +417,7 @@ def test_memoized_options_equal_fresh_ones(data):
             x = data.draw(st.integers(-1, n_classes - 1))  # -1: in no class
             if x >= 0:
                 classes[x] |= 1 << u
-        fresh = SweepState(adj, sizes, cap, True)
+        fresh = SweepState(adj, sizes, cap)
         fresh.classes[v] = shared.classes[v] = classes
-        expected = list(fresh._level_options(v, n_classes))
-        assert list(shared._level_options(v, n_classes)) == expected, (adj, v, classes)
+        expected = list(fresh._level_options(v))
+        assert list(shared._level_options(v)) == expected, (adj, v, classes)

@@ -320,8 +320,9 @@ class TestMemoStore:
         assert isinstance(rec, SumChoiceRecord)
         lines = [json.loads(x) for x in path.read_text().splitlines()]
         assert lines
-        assert set(lines[0]) == {"canonical_graph6", "chi_sc", "gb",
+        assert set(lines[0]) == {"format", "canonical_graph6", "chi_sc", "gb",
                                  "optimal_f", "rho", "tau"}
+        assert lines[0]["format"] == 1
         reloaded = MemoStore(str(path))
         assert len(reloaded) == len(store)
         again = chi_sc(generate(CompleteBipartite(2, 3)), reloaded)
@@ -400,6 +401,24 @@ class TestMemoStore:
             again = record(generate(CompleteBipartite(2, 3)), reloaded)
             assert again.chi_sc == 10 and again.method == "cache"
         assert len(checks) == 1 and sum(checks[0]) == 10
+
+    def test_unversioned_record_is_served_and_checked_on_first_hit(self, tmp_path,
+                                                                   monkeypatch):
+        # a record written before the format field: it reads as format 1
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({
+            "canonical_graph6": canonical_form(generate(Complete(3))), "chi_sc": 6,
+            "gb": 6, "optimal_f": [1, 2, 3], "rho": 6, "tau": "inf"}) + "\n")
+        checks = []
+        real = sumnumber.is_choosable
+        monkeypatch.setattr(sumnumber, "is_choosable",
+                            lambda g, f, budget=None: checks.append(f) or real(g, f, budget))
+        store = MemoStore(str(path))
+        assert len(store) == 1
+        for _ in range(2):
+            again = record(generate(Complete(3)), store)
+            assert again.chi_sc == 6 and again.method == "cache"
+        assert checks == [(1, 2, 3)]
 
     def test_duplicate_put_is_noop(self):
         store = MemoStore()
