@@ -27,8 +27,12 @@ by checking every G - v instead.  A sweep certifies choosability only
 together with those checks.
 
 Each node's work is incremental.  Every level keeps one coloring of its
-prefix, and a child first tries to extend it to the new vertex, an O(deg)
-test, before it calls the solver.  Every level also keeps its prefix's
+prefix, and a child probes its own prefix in three steps, cheapest first:
+it extends the parent's coloring to the new vertex, an O(deg) test; else it
+moves one earlier neighbour off a color of the new vertex's list and gives
+the vertex that color; else it calls the solver, which forward-checks.
+Colorability is decided exactly either way, so only which coloring a level
+keeps depends on the steps.  Every level also keeps its prefix's
 color class masks, and the prune shapes the options of the next vertex:
 they are generated once per parent prefix from a per-class test of the
 classes, so the sweep never builds a prefix the prune would cut, and every
@@ -50,43 +54,56 @@ SWEEP_WITNESS = 1
 SWEEP_PAUSED = 2
 
 
-def _solve_lists(adj: list[int], lists: list[int], todo: int, colored: int,
+def _solve_lists(adj: list[int], avail: list[int], todo: int,
                  color_of: list[int]) -> bool:
-    """Extend the coloring of ``colored`` to the vertices in ``todo`` from the
-    list masks, writing colors into ``color_of``; False if impossible.
+    """Color the vertices in ``todo`` from ``avail``, writing color bits into
+    ``color_of``; False if impossible.
 
-    Fewest-available-colors vertex selection, ties to the lowest index;
-    colors tried in ascending value.  Deterministic.
+    ``avail[v]`` is v's list minus the colors already placed on its
+    neighbours.  Fewest available colors first, ties to the lowest index,
+    stop on a vertex with none; colors tried in ascending value.
+    Deterministic.  Forward checking keeps ``avail`` current: each child gets
+    a copy with the chosen color struck from the uncolored neighbours, made
+    only when there are such neighbours.  A color that leaves a neighbour
+    with none is skipped, as the child would stop on that neighbour, and a
+    vertex with one color ends the selection scan, as only a vertex with
+    none could beat it.  Neither changes the verdict or the coloring found.
     """
     if not todo:
         return True
     best_v = -1
-    best_avail = 0
     best_cnt = -1
     t = todo
     while t:
         low = t & -t
         t ^= low
         v = low.bit_length() - 1
-        forb = 0
-        nbrs = adj[v] & colored
-        while nbrs:
-            u = nbrs & -nbrs
-            nbrs ^= u
-            forb |= 1 << color_of[u.bit_length() - 1]
-        avail = lists[v] & ~forb
-        cnt = avail.bit_count()
+        cnt = avail[v].bit_count()
         if best_cnt < 0 or cnt < best_cnt:
-            best_v, best_avail, best_cnt = v, avail, cnt
-            if cnt == 0:
-                return False
-    bit = 1 << best_v
-    while best_avail:
-        low = best_avail & -best_avail
-        best_avail ^= low
-        color_of[best_v] = low.bit_length() - 1
-        if _solve_lists(adj, lists, todo ^ bit, colored | bit, color_of):
-            return True
+            best_v, best_cnt = v, cnt
+            if cnt <= 1:
+                if cnt == 0:
+                    return False
+                break
+    rest = todo ^ (1 << best_v)
+    nbrs = adj[best_v] & rest
+    colors = avail[best_v]
+    while colors:
+        low = colors & -colors
+        colors ^= low
+        child = avail[:] if nbrs else avail
+        n = nbrs
+        while n:
+            u = n & -n
+            n ^= u
+            x = u.bit_length() - 1
+            child[x] &= ~low
+            if not child[x]:
+                break
+        else:
+            color_of[best_v] = low
+            if _solve_lists(adj, child, rest, color_of):
+                return True
     return False
 
 
@@ -197,11 +214,25 @@ class SweepState:
 
     Probes every prefix for colorability; an uncolorable prefix is completed
     with arbitrary valid lists into a witness.  Each prefix is probed in
-    two steps, cheapest first:
+    three steps, cheapest first:
 
-    1. the parent prefix's coloring, kept per level, is extended to the new
-       vertex if a color of its list is free among its earlier neighbours;
-    2. else the solver colors the prefix from scratch.
+    1. extension: the parent prefix's coloring, kept per level, is extended
+       to the new vertex v if a color of its list is free among its earlier
+       neighbours;
+    2. repair: else, for each color c of v's list in ascending order, if
+       exactly one earlier neighbour u of v holds c and u's list has a color
+       outside c and outside the colors of u's neighbours in the parent
+       prefix, u moves to the lowest such color and v gets c.  This is a
+       proper coloring from the lists: u's new color avoids every colored
+       neighbour of u (v is not yet one of them), and c, held by no other
+       neighbour of v, is free for v once u has left it;
+    3. else the solver colors the prefix from scratch: fewest available
+       colors first, ties to the lowest index, colors ascending, with
+       forward checking (see ``_solve_lists``).
+
+    Steps 1 and 2 find a coloring only when one exists, and step 3 decides
+    the rest, so the first uncolorable prefix, and every witness, is the one
+    the solver alone would give; only the coloring a level keeps differs.
 
     The coloring found becomes the prefix's own, for its children.  The
     color class masks of each prefix are kept per level too: a child's are
@@ -219,11 +250,14 @@ class SweepState:
     the test reads only ``adj``, v, ``reach[v]`` and M, and the first three
     are fixed for the sweep, as are v's list size and color cap.  The
     colors of v's earlier neighbours in the parent prefix's coloring are
-    likewise computed once, when the level is entered, not per sibling.
+    likewise computed once, when the level is entered, not per sibling, as
+    are those of them held by exactly one earlier neighbour (the colors
+    step 2 may take).
 
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
-    3 prefixes colored by extending the parent's coloring (step 1).  Every
-    node is probed, so counters[0] == counters[2] + counters[3].
+    3 prefixes colored without the solver (steps 1 and 2), 4 prefixes
+    colored by a repair (step 2 alone, a subset of 3).  Every node is
+    probed, so counters[0] == counters[2] + counters[3].
     """
 
     def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int):
@@ -244,6 +278,8 @@ class SweepState:
         # per level, the colors of that vertex's earlier neighbours in its
         # parent prefix's coloring: set when the level is entered
         self.forbidden = [0] * m
+        # per level, those of its colors held by exactly one earlier neighbour
+        self.single = [0] * m
         # entry j: a coloring (color bit per vertex) of the prefix of the
         # first j vertices, and per color its class mask on that prefix
         self.colorings: list[tuple[int, ...]] = [()] * (m + 1)
@@ -255,7 +291,7 @@ class SweepState:
         self.option_rows: list[_OptionRows] = [{} for _ in range(m)]
         if m:
             self.options[0] = self._level_options(0)
-        self.counters = [0, 0, 0, 0]
+        self.counters = [0, 0, 0, 0, 0]
 
     def _level_options(self, level: int) -> Iterator[tuple[int, int]]:
         return _pruned_options(self.adj, self.classes[level], level,
@@ -267,7 +303,7 @@ class SweepState:
         SWEEP_WITNESS or SWEEP_PAUSED (call again to resume)."""
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
         counters, colorings, classes = self.counters, self.colorings, self.classes
-        earlier, forbidden = self.earlier, self.forbidden
+        earlier, forbidden, single = self.earlier, self.forbidden, self.single
         level = self.level
         nodes_here = 0
         while True:
@@ -290,15 +326,19 @@ class SweepState:
             if free:
                 counters[3] += 1
                 colorings[level + 1] = colorings[level] + (free & -free,)
+            # else an earlier neighbour may move off a color of the list
+            elif repaired := self._repair(level, row & single[level]):
+                counters[3] += 1
+                counters[4] += 1
+                colorings[level + 1] = repaired
             else:
                 counters[2] += 1
-                if not _solve_lists(adj, lists, (1 << (level + 1)) - 1, 0,
-                                    self.color_of):
+                if not _solve_lists(adj, lists, (1 << (level + 1)) - 1, self.color_of):
                     for j in range(level + 1, m):
                         lists[j] = (1 << f[j]) - 1
                     self.level = level
                     return SWEEP_WITNESS
-                colorings[level + 1] = tuple(1 << c for c in self.color_of[:level + 1])
+                colorings[level + 1] = tuple(self.color_of[:level + 1])
             if level == m - 1:
                 counters[1] += 1
                 continue
@@ -312,11 +352,43 @@ class SweepState:
             classes[level + 1] = masks
             level += 1
             coloring = colorings[level]
-            forb = 0
+            forb = twice = 0
             for u in earlier[level]:
-                forb |= coloring[u]
+                c = coloring[u]
+                twice |= forb & c
+                forb |= c
             forbidden[level] = forb
+            single[level] = forb & ~twice
             self.options[level] = self._level_options(level)
+
+    def _repair(self, level: int, colors: int) -> tuple[int, ...] | None:
+        """The parent prefix's coloring with one earlier neighbour u of the
+        vertex at ``level`` moved off its color c, and the vertex given c;
+        None if no color in ``colors`` (each held by exactly one earlier
+        neighbour) lets u move.  Colors c and u's new colors are tried in
+        ascending order."""
+        coloring = self.colorings[level]
+        adj, lists = self.adj, self.lists
+        prefix = (1 << level) - 1
+        while colors:
+            c = colors & -colors
+            colors ^= c
+            for u in self.earlier[level]:
+                if coloring[u] == c:
+                    break
+            forb = c
+            nbrs = adj[u] & prefix
+            while nbrs:
+                w = nbrs & -nbrs
+                nbrs ^= w
+                forb |= coloring[w.bit_length() - 1]
+            alt = lists[u] & ~forb
+            if alt:
+                moved = list(coloring)
+                moved[u] = alt & -alt
+                moved.append(c)
+                return tuple(moved)
+        return None
 
     @property
     def nodes(self) -> int:
@@ -335,5 +407,6 @@ def solve_lists_once(adj_masks: list[int], list_masks: list[int]) -> list[int] |
     """One-shot proper-coloring search over explicit list masks; returns the
     color of each vertex, or None."""
     color_of = [0] * len(adj_masks)
-    ok = _solve_lists(adj_masks, list_masks, (1 << len(adj_masks)) - 1, 0, color_of)
-    return color_of if ok else None
+    if not _solve_lists(adj_masks, list_masks, (1 << len(adj_masks)) - 1, color_of):
+        return None
+    return [c.bit_length() - 1 for c in color_of]

@@ -126,8 +126,10 @@ class MemoStore:
     A final line with no trailing newline that does not parse is what a
     crash during an append leaves behind; it is ignored on load and cut off
     before the next append.  Any other malformed line, a record of another
-    format than ``_MEMO_FORMAT`` (a missing field reads as it) and a file
-    that cannot be read or appended to raise SumChoiceError.
+    format than ``_MEMO_FORMAT`` (a missing field reads as it), a line that
+    conflicts with an earlier one for its key (as ``put`` defines it; the
+    earlier one is kept otherwise) and a file that cannot be read or
+    appended to raise SumChoiceError.
 
     Records read from the file are not trusted: ``check_first_hit`` checks
     each on its first hit, and their keys stay in ``_unchecked`` until a
@@ -163,7 +165,8 @@ class MemoStore:
                         f"{path}:{number}: memo format {obj['format']!r}, "
                         f"this version reads {_MEMO_FORMAT}")
                 try:
-                    self._data[obj["canonical_graph6"]] = SumChoiceRecord(
+                    key = obj["canonical_graph6"]
+                    rec = SumChoiceRecord(
                         chi_sc=obj["chi_sc"],
                         greedy_bound=obj["gb"],
                         sc_greedy=obj["chi_sc"] == obj["gb"],
@@ -172,8 +175,14 @@ class MemoStore:
                         tau=_decode_bound(obj["tau"]),
                         method="cache",
                     )
+                    old = self._data.setdefault(key, rec)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise SumChoiceError(f"{path}:{number}: malformed memo record") from exc
+                if (old.chi_sc, old.greedy_bound) != (rec.chi_sc, rec.greedy_bound):
+                    raise SumChoiceError(
+                        f"{path}:{number}: memo record for {key} conflicts with an "
+                        f"earlier line: {(rec.chi_sc, rec.greedy_bound)} vs "
+                        f"{(old.chi_sc, old.greedy_bound)}")
             self._unchecked = set(self._data)
 
     def __len__(self) -> int:
@@ -313,7 +322,12 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
         budget: Budget | None = None) -> RhoResult:
     """min over vertices of chi_sc(G - v) + deg(v) + 1 (INFINITY when there
     are no vertices).  Ties broken by ascending vertex index.  The choice
-    function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted."""
+    function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted.
+
+    Once the budget has run out, each G - v left is bounded without a
+    search: chi_sc(G - v) >= |V(G - v)|, as every list holds a color.
+    ChiUnknown is never memoized, so searching them would walk the subset
+    lattice again below each one."""
     memo = memo if memo is not None else MemoStore()
     best: int | float = INFINITY
     best_f = None
@@ -321,7 +335,13 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
     any_unknown = False
     for v in range(g.n):
         sub = g.delete_vertex(v)
-        out = chi_sc(sub, memo, budget)
+        try:
+            if budget is not None:
+                budget.check("vertex-deletion recursion")
+        except SearchBudgetExceeded as exc:
+            out: ChiOutcome = ChiUnknown(sub.n, greedy_bound(sub), str(exc))
+        else:
+            out = chi_sc(sub, memo, budget)
         step = g.degree(v) + 1
         if isinstance(out, ChiUnknown):
             any_unknown = True

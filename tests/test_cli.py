@@ -72,6 +72,14 @@ class TestChiSc:
         assert code == 0 and json.loads(out)["chi_sc"] == 19
         assert time.monotonic() - start < 1 + 2
 
+    def test_budget_holds_on_a_large_clique(self, capsys):
+        # K11 is past the memo's order limit: every G - v is searched afresh
+        start = time.monotonic()
+        code, out, _ = run(capsys, "chi-sc", "--family", "complete:11",
+                           "--budget", "1", "--json")
+        assert code == 3 and json.loads(out)["unknown"] is True
+        assert time.monotonic() - start < 1 + 2
+
     def test_wrong_memo_record_exits_2(self, capsys, tmp_path):
         # a hand-written K3 record: sizes 1,1,2 sum to the claimed 4, but
         # K3 is not choosable with them

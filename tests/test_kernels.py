@@ -1,8 +1,9 @@
 """Kernel-level checks: the solver must agree with brute force on any color
-values, a reference copy of the kernel that rebuilds its state at every
-node must match the reference enumeration with its prune off and the
-kernel with it on, and the verdicts and search counts of a few fixed cases
-are pinned."""
+values and with a plain reference solver, a reference copy of the kernel
+that rebuilds its state at every node must match the reference enumeration
+with its prune off and the kernel with it on, every coloring the kernel
+keeps must be proper, and the verdicts and search counts of a few fixed
+cases are pinned."""
 
 import itertools
 import random
@@ -170,13 +171,14 @@ def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
 
 # verdict, assignments_examined, nodes and summed solver calls of a few
 # fixed cases, the G - v checks included; the solver calls rise if a prefix
-# stops trying its parent's coloring before the solver
+# stops trying its parent's coloring, or a one-recolor repair of it, before
+# the solver
 PINNED = {
     "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 8),
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 4),
     "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 744,
-             96),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 394),
+             60),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 178),
     "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
 }
 
@@ -207,9 +209,70 @@ def test_pinned_verdicts_and_counts(monkeypatch):
 # cut.  The kernel instead generates only the options that pass, so its
 # nodes are the reference's nodes minus its cuts.  The reference makes the
 # same cuts, the private-color cut included, and probes a prefix in the same
-# two steps (the parent's coloring, then the solver).  It shares the option
-# order and the solver with the kernel, so it pins the node order, prune
-# decisions, solver calls and witnesses.
+# three steps (the parent's coloring, a one-recolor repair of it, then the
+# solver), each with its own plain code: the solver below recomputes each
+# vertex's available colors from its colored neighbours instead of
+# forward-checking.  It shares only the option order with the
+# kernel, so it pins the node order, prune decisions, solver calls, repairs
+# and witnesses.
+
+def _reference_solve_lists(adj, lists, todo, colored, color_of):
+    """Extend the coloring of ``colored`` to the vertices in ``todo`` from the
+    list masks, writing color indices into ``color_of``; False if impossible.
+    Fewest available colors first, ties to the lowest index, colors
+    ascending."""
+    if not todo:
+        return True
+    best_v = -1
+    best_avail = 0
+    best_cnt = -1
+    t = todo
+    while t:
+        low = t & -t
+        t ^= low
+        v = low.bit_length() - 1
+        forb = 0
+        nbrs = adj[v] & colored
+        while nbrs:
+            u = nbrs & -nbrs
+            nbrs ^= u
+            forb |= 1 << color_of[u.bit_length() - 1]
+        avail = lists[v] & ~forb
+        cnt = avail.bit_count()
+        if best_cnt < 0 or cnt < best_cnt:
+            best_v, best_avail, best_cnt = v, avail, cnt
+            if cnt == 0:
+                return False
+    bit = 1 << best_v
+    while best_avail:
+        low = best_avail & -best_avail
+        best_avail ^= low
+        color_of[best_v] = low.bit_length() - 1
+        if _reference_solve_lists(adj, lists, todo ^ bit, colored | bit, color_of):
+            return True
+    return False
+
+
+def _reference_repair(adj, lists, coloring, v):
+    """The coloring (color bits) of the prefix before ``v`` with one earlier
+    neighbour u of v moved off a color c of v's list, and v given c: the
+    first c, ascending, held by u alone among v's earlier neighbours, with u
+    on the lowest color of its list that is not c and not held by one of
+    its neighbours in the prefix.  None if there is no such c."""
+    earlier = [u for u in iter_bits(adj[v]) if u < v]
+    for c in iter_bits(lists[v]):
+        holders = [u for u in earlier if coloring[u] == 1 << c]
+        if len(holders) != 1:
+            continue
+        u = holders[0]
+        taken = [coloring[w] for w in iter_bits(adj[u]) if w < v]
+        moves = [x for x in iter_bits(lists[u]) if x != c and 1 << x not in taken]
+        if moves:
+            moved = list(coloring)
+            moved[u] = 1 << moves[0]
+            return tuple(moved) + (1 << c,)
+    return None
+
 
 def _reference_neighborhood(adj, vertex_mask):
     nbr = 0
@@ -260,10 +323,10 @@ def _reference_allowed_old_colors(adj, lists, level, u, future, conn_prune):
 
 class ReferenceSweep:
     """counters: 0 nodes, cut ones included, 1 assignments, 2 solver calls,
-    3 prefixes colored by extending the parent's coloring.  ``run``'s node
-    budget counts only the nodes that survive the prune, as the kernel's
-    does.  With ``conn_prune`` off it makes no cut and is the reference for
-    the prune."""
+    3 prefixes colored without the solver, 4 of them by a repair.  ``run``'s
+    node budget counts only the nodes that survive the prune, as the
+    kernel's does.  With ``conn_prune`` off it makes no cut and is the
+    reference for the prune."""
 
     def __init__(self, adj, sizes, u_cap, conn_prune):
         m = len(sizes)
@@ -277,7 +340,7 @@ class ReferenceSweep:
             self.options[0] = _options(self.f[0], 0, [], 0, self.u_cap)
         self.level = 0
         self.colorings = [()] * (m + 1)
-        self.counters = [0, 0, 0, 0]
+        self.counters = [0, 0, 0, 0, 0]
 
     def run(self, node_budget):
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
@@ -309,12 +372,17 @@ class ReferenceSweep:
             for u in iter_bits(adj[level] & (prefix >> 1)):
                 forb |= coloring[u]
             free = lists[level] & ~forb
+            repaired = None if free else _reference_repair(adj, lists, coloring, level)
             if free:
                 counters[3] += 1
                 self.colorings[level + 1] = coloring + (free & -free,)
+            elif repaired is not None:
+                counters[3] += 1
+                counters[4] += 1
+                self.colorings[level + 1] = repaired
             else:
                 counters[2] += 1
-                if not _solve_lists(adj, lists, prefix, 0, self.color_of):
+                if not _reference_solve_lists(adj, lists, prefix, 0, self.color_of):
                     for j in range(level + 1, m):
                         lists[j] = (1 << f[j]) - 1
                     self.level = level
@@ -344,10 +412,10 @@ def _observed(state, status):
     """Everything the search decides: its status and position, the prefix
     it is extending (all the lists, on a witness), the nodes that survive
     the prune, assignments, solver calls, prefixes settled without the
-    solver, and the witness."""
+    solver, those settled by a repair, and the witness."""
     c = state.counters
     rows = state.lists if status == SWEEP_WITNESS else state.lists[:max(state.level, 0)]
-    return (status, state.level, list(rows), c[2] + c[3], c[1], c[2], c[3],
+    return (status, state.level, list(rows), c[2] + c[3], c[1], c[2], c[3], c[4],
             tuple(tuple(iter_bits(row)) for row in state.lists)
             if status == SWEEP_WITNESS else None)
 
@@ -421,3 +489,62 @@ def test_memoized_options_equal_fresh_ones(data):
         fresh.classes[v] = shared.classes[v] = classes
         expected = list(fresh._level_options(v))
         assert list(shared._level_options(v)) == expected, (adj, v, classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_forward_checking_solver_matches_reference_solver(data):
+    # same verdict and same coloring, from scratch and from a partial
+    # coloring, with colors that reach past bit 63
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = vertex_pairs(n)
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+    adj = list(g.adj)
+    palette = data.draw(st.lists(st.integers(0, 130), min_size=1, max_size=5,
+                                 unique=True))
+    lists = [sum(1 << c for c in data.draw(st.sets(st.sampled_from(palette))))
+             for _ in range(n)]
+    colored = 0
+    ref_colors = [0] * n
+    for v in range(n):
+        pick = [c for c in iter_bits(lists[v])
+                if all(ref_colors[u] != c for u in iter_bits(adj[v] & colored))]
+        if pick and data.draw(st.booleans()):
+            colored |= 1 << v
+            ref_colors[v] = data.draw(st.sampled_from(pick))
+    todo = ((1 << n) - 1) & ~colored
+    avail = list(lists)  # minus the colors placed on each vertex's neighbours
+    for v in range(n):
+        for u in iter_bits(adj[v] & colored):
+            avail[v] &= ~(1 << ref_colors[u])
+    new_colors = [1 << c for c in ref_colors]
+    expected = _reference_solve_lists(adj, lists, todo, colored, ref_colors)
+    assert _solve_lists(adj, avail, todo, new_colors) == expected
+    if expected:
+        assert new_colors == [1 << c for c in ref_colors]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_kept_coloring_is_proper_at_every_step(data):
+    # a repair that kept a bad coloring could let a later extension turn an
+    # uncolorable prefix into an unsound Choosable, so each coloring the
+    # sweep keeps is checked against the current lists after every node
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    pairs = vertex_pairs(n)
+    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+    assume(g.is_connected())
+    adj, _ = _sweep_input(g)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    state = SweepState(adj, sizes, data.draw(st.sampled_from(_caps(sizes))))
+    for _ in range(400):
+        status = state.run(1)
+        for j in range(state.level + 1):
+            coloring = state.colorings[j]
+            assert len(coloring) == j
+            for v in range(j):
+                assert coloring[v].bit_count() == 1 and coloring[v] & state.lists[v]
+                earlier = adj[v] & ((1 << v) - 1)
+                assert all(coloring[u] != coloring[v] for u in iter_bits(earlier))
+        if status != SWEEP_PAUSED:
+            break
