@@ -28,6 +28,9 @@ Coloring = tuple[int, ...]
 ListAssignment = tuple[tuple[int, ...], ...]
 
 CHUNK_NODES = 1 << 11
+# Largest list size accepted: a witness spells out every list in full, and
+# a graph of order <= 32 is choosable for any sizes above its degrees.
+MAX_LIST_SIZE = 1 << 14
 
 
 @dataclass
@@ -103,7 +106,15 @@ def is_list_colorable(g: Graph, lists: Sequence[Sequence[int]]) -> Coloring | No
         return ()
     values = sorted({c for row in lists for c in row})
     index = {c: i for i, c in enumerate(values)}
-    masks = [sum(1 << index[c] for c in set(row)) for row in lists]
+    masks = []
+    for row in lists:
+        # One bit per color index; summing the bits one by one would copy
+        # an ever longer integer at each step.
+        bits = bytearray((len(values) + 7) // 8)
+        for c in row:
+            i = index[c]
+            bits[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(bits, "little"))
     colors = _kernels.solve_lists_once(list(g.adj), masks)
     if colors is None:
         return None
@@ -320,7 +331,8 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     available, which is always enough.  A preliminary witness-hunting pass
     over a small universe (max list size + 2, an empirically good cap) may
     settle NotChoosable early but is never used to conclude Choosable.
-    A size of 0 gives NotChoosable; a negative size raises ValueError.
+    A size of 0 gives NotChoosable; a negative size, or one above
+    MAX_LIST_SIZE, raises ValueError.
 
     The sweep skips every assignment in which some vertex v holds a color
     that none of its neighbours has (a private color), and each component
@@ -338,6 +350,8 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
         raise ValueError(f"size function has {len(f)} entries for order {g.n}")
     if any(x < 0 for x in f):
         raise ValueError(f"negative list size in {f}")
+    if any(x > MAX_LIST_SIZE for x in f):
+        raise ValueError(f"list size above {MAX_LIST_SIZE} in {f}")
     if g.n == 0:
         return Choosable(assignments_examined=0)
     if 0 in f:

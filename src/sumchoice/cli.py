@@ -13,7 +13,9 @@ import os
 import sys
 import time
 
-from .choosability import Budget, Choosable, UnknownVerdict, is_choosable
+from .choosability import (
+    MAX_LIST_SIZE, Budget, Choosable, UnknownVerdict, is_choosable,
+)
 from .errors import SumChoiceError
 from .families import format_family, generate, parse_family
 from .graphs import Graph, encode_graph6, parse_graph6
@@ -96,6 +98,9 @@ def cmd_choosable(args) -> int:
             f"--sizes has {len(sizes)} entries for a graph of order {g.n}")
     if any(x < 0 for x in sizes):
         raise SumChoiceError(f"--sizes has a negative entry: {args.sizes}")
+    if any(x > MAX_LIST_SIZE for x in sizes):
+        raise SumChoiceError(
+            f"--sizes has an entry above {MAX_LIST_SIZE}: {args.sizes}")
     budget = Budget.of(seconds=args.budget)
     verdict = is_choosable(g, sizes, budget)
     if isinstance(verdict, UnknownVerdict):

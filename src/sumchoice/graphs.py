@@ -161,12 +161,17 @@ def empty_graph(n: int) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 text: header byte n+63, then the upper triangle
     column-major, packed into 6-bit groups (zero padded), each +63."""
-    out = [chr(g.n + 63)]
+    return _graph6_of_rows(g.n, g.adj)
+
+
+def _graph6_of_rows(n: int, adj: tuple[int, ...]) -> str:
+    """graph6 text of the adjacency rows ``adj`` of a graph of order n."""
+    out = [chr(n + 63)]
     group = 0
     nbits = 0
-    for col in range(1, g.n):
+    for col in range(1, n):
         for row in range(col):
-            group = group << 1 | (g.adj[row] >> col & 1)
+            group = group << 1 | (adj[row] >> col & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(group + 63))
@@ -337,19 +342,70 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 # Canonical labeling
 # ---------------------------------------------------------------------------
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Stable partition refinement by multiset of neighbor colors."""
-    n = g.n
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = sorted(colors[u] for u in iter_bits(g.adj[v]))
-            sigs.append((colors[v], tuple(nbr)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: tuple[int, ...], cells: list[int], changed: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` (vertex masks) until it is
+    equitable: every vertex of a cell has as many neighbours in each cell as
+    every other vertex of that cell.
+
+    Each round compares every cell of two or more vertices against the
+    previous round's cells. Its vertices are grouped by their neighbour
+    counts in those cells, and the groups stay in the cell's place, sorted
+    so that the group with more neighbours in the first cell where the
+    counts differ comes first. The rounds stop when no cell splits.
+
+    This is the order of the sorted tuples of neighbour colors, a vertex's
+    color being the position of its cell, in which the search was first
+    written. Every vertex of a cell has the same degree: that holds for the
+    starting degree partition, and splitting a cell or individualizing a
+    vertex keeps it. So two vertices of a cell have tuples of equal length,
+    which first differ at the first cell where their counts differ, and the
+    vertex with more neighbours there sorts first. Only the order of the
+    cells ever mattered, not the color values.
+
+    A round counts neighbours only in ``changed``, the cells (in partition
+    order) that the previous round split off, which gives the same groups
+    in the same order. A cell that did not split, or a split cell taken
+    whole, already gave all vertices of a cell the same count. So the counts
+    in the other cells tie, and so does the count in the last piece of a
+    split cell once the counts in its other pieces tie: the pieces of a cell
+    are adjacent, so no difference is skipped. For its first round the
+    caller passes every cell, or, when the partition was equitable before a
+    vertex v was individualized, v's own cell alone; then each cell splits
+    into v's neighbours and the rest."""
+    while changed:
+        new: list[int] = []
+        split: list[int] = []
+        if len(changed) == 1 and not changed[0] & (changed[0] - 1):
+            row = adj[changed[0].bit_length() - 1]
+            for cell in cells:
+                inside = cell & row
+                if inside and inside != cell:
+                    new += (inside, cell ^ inside)
+                    split.append(inside)
+                else:
+                    new.append(cell)
+        else:
+            only = changed[0] if len(changed) == 1 else 0
+            for cell in cells:
+                if not cell & (cell - 1):
+                    new.append(cell)
+                    continue
+                pieces: dict = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    row = adj[low.bit_length() - 1]
+                    if only:
+                        key = (row & only).bit_count()
+                    else:
+                        key = tuple([(row & c).bit_count() for c in changed])
+                    pieces[key] = pieces.get(key, 0) | low
+                    rest ^= low
+                ordered = [pieces[key] for key in sorted(pieces, reverse=True)]
+                new += ordered
+                split += ordered[:-1]
+        cells, changed = new, split
+    return cells
 
 
 def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -357,80 +413,110 @@ def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     consistent with iterated refinement (exact: ties are fully searched),
     plus the permutation (old vertex -> new position) achieving them.
 
+    A node of the search is an ordered partition of the vertices, kept as a
+    list of cell masks and refined by :func:`_refine`. The root is the
+    degree partition, cells in ascending degree. A node branches on its
+    first cell of two or more vertices, individualizing each vertex v of it
+    in ascending order: v's own cell goes just before the rest of the cell.
+    At a leaf every cell is one vertex, and position p gets the vertex of
+    ``cells[p]``.
+
     A leaf whose rows tie the best so far yields an automorphism, and the
     search skips a child that one of them, fixing the node's individualized
     vertices pointwise, maps from an explored sibling: its leaves repeat
     that sibling's rows. The first smallest leaf in search order is never
     skipped, so rows and permutation are those of the full search, and the
-    cost no longer grows with |Aut(G)|."""
+    cost no longer grows with |Aut(G)|. Each automorphism is kept with the
+    mask of the vertices it fixes, so that test is one mask comparison, and
+    a node applies each automorphism once, merging the orbits of its cell
+    as vertex masks."""
     n = g.n
-    best: tuple[int, ...] | None = None
-    best_perm: tuple[int, ...] = ()
-    automorphisms: list[tuple[int, ...]] = []
-
-    def leaf(colors: list[int]) -> None:
-        nonlocal best, best_perm
-        perm = [0] * n
-        for pos, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
-            perm[v] = pos
-        rows = [0] * n
-        for v in range(n):
-            acc = 0
-            for u in iter_bits(g.adj[v]):
-                acc |= 1 << perm[u]
-            rows[perm[v]] = acc
-        cand = tuple(rows)
-        if best is None or cand < best:
-            best = cand
-            best_perm = tuple(perm)
-        elif cand == best:
-            # g.relabel(perm) == g.relabel(best_perm), so best_perm^-1 o perm
-            # maps g onto itself.
-            inverse = [0] * n
-            for v, pos in enumerate(best_perm):
-                inverse[pos] = v
-            automorphisms.append(tuple(inverse[pos] for pos in perm))
-
-    def search(colors: list[int], fixed: list[int]) -> None:
-        colors = _refine(g, colors)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            leaf(colors)
-            return
-        # Union-find over the target cell: an automorphism fixing `fixed`
-        # pointwise fixes this node, so it maps the cell onto itself.
-        root = {v: v for v in target}
-
-        def find(v: int) -> int:
-            while root[v] != v:
-                v = root[v]
-            return v
-
-        used = 0
-        explored: list[int] = []
-        for v in target:
-            for gamma in automorphisms[used:]:
-                if all(gamma[u] == u for u in fixed):
-                    for u in target:
-                        root[find(u)] = find(gamma[u])
-            used = len(automorphisms)
-            if any(find(u) == find(v) for u in explored):
-                continue
-            explored.append(v)
-            branched = [2 * c for c in colors]
-            branched[v] -= 1
-            search(branched, fixed + [v])
-
     if n == 0:
         return (), ()
-    search([0] * n, [])
+    adj = g.adj
+    best: tuple[int, ...] | None = None
+    best_perm: tuple[int, ...] = ()
+    best_order: list[int] = []
+    # (automorphism as a vertex map, mask of the vertices it fixes)
+    automorphisms: list[tuple[list[int], int]] = []
+
+    def leaf(cells: list[int]) -> None:
+        nonlocal best, best_perm, best_order
+        # Vertex bit -> its bit after relabeling: cells[p] goes to position p.
+        moved = {cell: 1 << pos for pos, cell in enumerate(cells)}
+        rows = []
+        for cell in cells:
+            row = adj[cell.bit_length() - 1]
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= moved[low]
+                row ^= low
+            rows.append(acc)
+        cand = tuple(rows)
+        order = [cell.bit_length() - 1 for cell in cells]
+        if best is None or cand < best:
+            best = cand
+            perm = [0] * n
+            for pos, v in enumerate(order):
+                perm[v] = pos
+            best_perm = tuple(perm)
+            best_order = order
+        elif cand == best:
+            # g.relabel(perm) == g.relabel(best_perm), so best_perm^-1 o perm
+            # maps g onto itself: it sends order[p] to best_order[p].
+            gamma = [0] * n
+            fixes = 0
+            for v, w in zip(order, best_order):
+                gamma[v] = w
+                if v == w:
+                    fixes |= 1 << v
+            automorphisms.append((gamma, fixes))
+
+    def search(cells: list[int], changed: list[int], fixed: int) -> None:
+        cells = _refine(adj, cells, changed)
+        if len(cells) == n:
+            leaf(cells)
+            return
+        i = 0
+        while not cells[i] & (cells[i] - 1):
+            i += 1
+        cell = cells[i]
+        # Orbits of the cell under the automorphisms that fix `fixed`
+        # pointwise: they fix this node, so they map the cell onto itself.
+        # Built when the first of them turns up.
+        orbit: list[int] = []
+        used = 0
+        explored = 0
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            while used < len(automorphisms):
+                gamma, fixes = automorphisms[used]
+                used += 1
+                if fixes & fixed == fixed:
+                    if not orbit:
+                        orbit = [cell & 1 << u for u in range(n)]
+                    for u, w in enumerate(gamma):
+                        if orbit[u] and not orbit[u] >> w & 1:
+                            merged = orbit[u] | orbit[w]
+                            m = merged
+                            while m:
+                                bit = m & -m
+                                orbit[bit.bit_length() - 1] = merged
+                                m ^= bit
+            if orbit and orbit[low.bit_length() - 1] & explored:
+                continue
+            explored |= low
+            search(cells[:i] + [low, cell ^ low] + cells[i + 1:], [low], fixed | low)
+
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    start = [by_degree[d] for d in sorted(by_degree)]
+    search(start, start, 0)
     assert best is not None
     return best, best_perm
 
@@ -443,7 +529,7 @@ def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, .
             f"canonical labeling supports order <= {CANONICAL_MAX_ORDER}, got {g.n}"
         )
     rows, perm = _canonical_rows(g)
-    return CanonicalKey(encode_graph6(Graph(g.n, rows))), perm
+    return CanonicalKey(_graph6_of_rows(g.n, rows)), perm
 
 
 def canonical_form(g: Graph) -> CanonicalKey:

@@ -1,15 +1,16 @@
+import hashlib
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sumchoice import (
     CapacityError, canonical_form, canonical_form_and_permutation, empty_graph,
     encode_graph6, enumerate_connected_graphs, generate, parse_graph6,
 )
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
-from sumchoice.graphs import Graph, iter_bits
+from sumchoice.graphs import Graph, graph_from_edges, iter_bits
 
 from conftest import graph_from_mask, perm_orbit_min, vertex_pairs
 
@@ -73,6 +74,88 @@ def reference_canonical(g: Graph) -> tuple[str, tuple[int, ...]]:
         return encode_graph6(g), ()
     search([0] * n)
     return encode_graph6(Graph(n, best)), best_perm
+
+
+def _reference_canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pruned search on integer colors, kept as it was before the
+    search moved to cell masks. Unlike :func:`reference_canonical` it skips
+    children that a found automorphism maps from an explored sibling, so it
+    takes symmetric graphs of order 10. Returns (rows, perm)."""
+    n = g.n
+    best: tuple[int, ...] | None = None
+    best_perm: tuple[int, ...] = ()
+    automorphisms: list[tuple[int, ...]] = []
+
+    def leaf(colors: list[int]) -> None:
+        nonlocal best, best_perm
+        perm = [0] * n
+        for pos, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
+            perm[v] = pos
+        rows = [0] * n
+        for v in range(n):
+            acc = 0
+            for u in iter_bits(g.adj[v]):
+                acc |= 1 << perm[u]
+            rows[perm[v]] = acc
+        cand = tuple(rows)
+        if best is None or cand < best:
+            best = cand
+            best_perm = tuple(perm)
+        elif cand == best:
+            # g.relabel(perm) == g.relabel(best_perm), so best_perm^-1 o perm
+            # maps g onto itself.
+            inverse = [0] * n
+            for v, pos in enumerate(best_perm):
+                inverse[pos] = v
+            automorphisms.append(tuple(inverse[pos] for pos in perm))
+
+    def search(colors: list[int], fixed: list[int]) -> None:
+        colors = _reference_refine(g, colors)
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            leaf(colors)
+            return
+        # Union-find over the target cell: an automorphism fixing `fixed`
+        # pointwise fixes this node, so it maps the cell onto itself.
+        root = {v: v for v in target}
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        used = 0
+        explored: list[int] = []
+        for v in target:
+            for gamma in automorphisms[used:]:
+                if all(gamma[u] == u for u in fixed):
+                    for u in target:
+                        root[find(u)] = find(gamma[u])
+            used = len(automorphisms)
+            if any(find(u) == find(v) for u in explored):
+                continue
+            explored.append(v)
+            branched = [2 * c for c in colors]
+            branched[v] -= 1
+            search(branched, fixed + [v])
+
+    if n == 0:
+        return (), ()
+    search([0] * n, [])
+    assert best is not None
+    return best, best_perm
+
+
+def pruned_reference_canonical(g: Graph) -> tuple[str, tuple[int, ...]]:
+    rows, perm = _reference_canonical_rows(g)
+    return encode_graph6(Graph(g.n, rows)), perm
 
 
 def assert_matches_reference(g: Graph) -> None:
@@ -207,3 +290,71 @@ def test_symmetry_does_not_cost():
         elapsed += time.perf_counter() - start
         assert keys[0] == keys[1]
     assert elapsed < 1.0
+
+
+@st.composite
+def graphs_of_order_8_to_10(draw) -> Graph:
+    """Dense and sparse random graphs, and circulants, which are symmetric
+    enough that the search finds automorphisms and prunes."""
+    n = draw(st.integers(min_value=8, max_value=10))
+    pairs = vertex_pairs(n)
+    kind = draw(st.sampled_from(["random", "sparse", "circulant"]))
+    if kind == "random":
+        mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    elif kind == "sparse":
+        picks = draw(st.lists(st.integers(min_value=0, max_value=len(pairs) - 1),
+                              max_size=n))
+        mask = sum(1 << i for i in set(picks))
+    else:
+        gaps = draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
+        mask = sum(1 << i for i, (u, v) in enumerate(pairs)
+                   if min(v - u, n - v + u) in gaps)
+    return graph_from_mask(n, mask, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_of_order_8_to_10(), st.randoms(use_true_random=False))
+@example(empty_graph(8), random.Random(0))
+@example(empty_graph(10), random.Random(0))
+@example(generate(Complete(9)), random.Random(0))
+@example(generate(Complete(10)), random.Random(0))
+def test_drawn_graphs_of_order_8_to_10_match_pruned_reference(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    for h in (g, g.relabel(perm)):
+        key, p = canonical_form_and_permutation(h)
+        assert (key, p) == pruned_reference_canonical(h)
+        assert parse_graph6(key).adj == h.relabel(p).adj
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
+
+
+# Memo files on disk are keyed by these strings: a change to the labeling
+# that alters any of them orphans the memo records written before it.
+PINNED_KEYS = [
+    ("P10", lambda: generate(Path(10)), "IQGOOGA?W"),
+    ("C10", lambda: generate(Cycle(10)), "IqGOOGA?W"),
+    ("Petersen", _petersen, "IsP@PGXD_"),
+    ("K2,8", lambda: generate(CompleteBipartite(2, 8)), "I????B~~o"),
+]
+
+
+@pytest.mark.parametrize("name,build,key", PINNED_KEYS, ids=[p[0] for p in PINNED_KEYS])
+def test_keys_of_order_10_are_pinned(name, build, key):
+    g = build()
+    assert canonical_form(g) == key
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    assert canonical_form(g.relabel(perm)) == key
+
+
+def test_keys_of_connected_graphs_up_to_order_7_are_pinned():
+    keys = [canonical_form(g) for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    assert len(keys) == 996
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
+    assert digest == "4f1294e607f26a19"

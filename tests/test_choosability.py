@@ -11,7 +11,7 @@ from sumchoice import (
     is_choosable, is_list_colorable, reduce_size_function,
 )
 from sumchoice import choosability
-from sumchoice.choosability import all_proper_colorings
+from sumchoice.choosability import MAX_LIST_SIZE, all_proper_colorings
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
 
 from conftest import graph_from_mask, vertex_pairs
@@ -115,6 +115,12 @@ class TestIsChoosable:
     def test_negative_size_is_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             is_choosable(generate(Path(2)), (-1, 2))
+
+    def test_size_above_the_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="above"):
+            is_choosable(generate(Path(2)), (MAX_LIST_SIZE + 1, 1))
+        verdict = is_choosable(generate(Path(2)), (MAX_LIST_SIZE, 1))
+        assert isinstance(verdict, Choosable)
 
     def test_witnesses_are_sound(self):
         rng = random.Random(99)

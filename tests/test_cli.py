@@ -210,3 +210,14 @@ class TestLimits:
         code, out, err = run(capsys, "choosable", "--family", "path:2", "--sizes=-1,2")
         assert code == 2 and out == ""
         assert err.startswith("error: --sizes") and "Traceback" not in err
+
+    def test_huge_size_exits_2(self, capsys):
+        code, out, err = run(capsys, "choosable", "--graph6", "Bw",
+                             "--sizes", "99999999999999999999,1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --sizes") and "Traceback" not in err
+
+    def test_large_sizes_below_the_bound_are_answered(self, capsys):
+        code, out, _ = run(capsys, "choosable", "--graph6", "Bw",
+                           "--sizes", "5000,5000,5000", "--json")
+        assert code == 0 and json.loads(out)["choosable"] is True
