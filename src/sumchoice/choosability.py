@@ -219,16 +219,19 @@ def _lift_witness(steps: Sequence[ReductionStep],
     neighbor's list: any proper coloring must spend the fresh color on the
     unit vertex, leaving the neighbors with their old effective lists.  A
     surplus vertex returns with any list at all, since no proper coloring of
-    the rest exists to extend.
+    the rest exists to extend.  Each step's fresh colors are the ones just
+    above every color in use, so the base is found once and then advanced.
     """
+    base = _fresh_base(witness)
     for step in reversed(steps):
-        base = _fresh_base(witness)
         if step.kind == "unit":
             witness[step.vertex] = (base,)
             for u in step.neighbors:
                 witness[u] = tuple(sorted(witness[u] + (base,)))
+            base += 1
         else:
             witness[step.vertex] = tuple(range(base, base + step.size))
+            base += step.size
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,6 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}")
     report = run_suite(
         args.suite,
-        jobs=args.jobs,
         cache=_cache_path(args),
         budget_seconds=args.budget,
         seed=args.seed,
@@ -180,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help=", ".join(SUITE_NAMES))
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", default=None)
     p.add_argument("--budget", type=float, default=600.0,
                    help="per-case budget in seconds")
@@ -193,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(args) -> None:
-    if getattr(args, "jobs", 1) < 1:
-        raise SumChoiceError(f"--jobs must be at least 1, got {args.jobs}")
     if not getattr(args, "budget", 0.0) >= 0:  # also rejects NaN
         raise SumChoiceError(f"--budget must be a non-negative number of seconds, "
                              f"got {args.budget}")

@@ -9,9 +9,10 @@ without a source:
   direct search, canonical-key comparison);
 * ``direct``: immediate from definitions.
 
-Suites are lists of independent tasks; ``run_suite`` executes them in a
-process pool when ``jobs`` > 1.  A task outcome is ``pass``/``fail``/
-``unknown``; unknown means a budget ran out, never a guess.
+Suites are lists of independent tasks; ``run_suite`` runs them in order
+through one shared memo store, each with its own budget and seeded rng.
+A task outcome is ``pass``/``fail``/``unknown``; unknown means a budget
+ran out, never a guess.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import random
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Any, Callable
 
@@ -58,7 +58,6 @@ class Task:
     provenance: str
     kind: str
     args: tuple = ()
-    extended: bool = False
 
 
 @dataclass
@@ -103,16 +102,6 @@ class RunReport:
         if self.unknown:
             return 3
         return 0
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "suite": self.suite,
-            "elapsed": round(self.elapsed, 3),
-            "passed": self.passed,
-            "failed": self.failed,
-            "unknown": self.unknown,
-            "cases": [asdict(c) for c in self.cases],
-        })
 
     def to_json_lines(self) -> str:
         lines = [json.dumps({"suite": self.suite, **asdict(c)})
@@ -716,12 +705,11 @@ def build_suite(name: str, extended: bool = False) -> list[Task]:
         if extended:
             tasks += [
                 Task("table1/K33", "formula", "chi_value",
-                     ("bipartite:3,3", {"chi_sc": 13}), extended=True),
+                     ("bipartite:3,3", {"chi_sc": 13})),
                 Task("table1/Theta113", "formula", "chi_value",
-                     ("theta:1,1,3", {"chi_sc": 14, "sc_greedy": False}),
-                     extended=True),
+                     ("theta:1,1,3", {"chi_sc": 14, "sc_greedy": False})),
                 Task("table1/P3xP3", "formula", "chi_value",
-                     ("product:path:3,path:3", {"chi_sc": 20}), extended=True),
+                     ("product:path:3,path:3", {"chi_sc": 20})),
             ]
         return tasks
     if name == "edges-and-subdivisions":
@@ -783,9 +771,8 @@ def build_suite(name: str, extended: bool = False) -> list[Task]:
 # Execution
 # ---------------------------------------------------------------------------
 
-def run_task(task: Task, cache: str | None, budget_seconds: float,
-             seed: int, memo: MemoStore | None = None) -> CaseResult:
-    memo = memo if memo is not None else MemoStore(cache)
+def run_task(task: Task, memo: MemoStore, budget_seconds: float,
+             seed: int) -> CaseResult:
     budget = Budget.of(seconds=budget_seconds)
     rng = _rng(seed, task.case_id)
     start = time.monotonic()
@@ -806,23 +793,11 @@ def run_task(task: Task, cache: str | None, budget_seconds: float,
     )
 
 
-def _run_task_tuple(payload):
-    task, cache, budget_seconds, seed = payload
-    return run_task(task, cache, budget_seconds, seed)
-
-
-def run_suite(name: str, jobs: int = 1, cache: str | None = None,
+def run_suite(name: str, cache: str | None = None,
               budget_seconds: float = 600.0, seed: int = 1729,
               extended: bool = False) -> RunReport:
     tasks = build_suite(name, extended=extended)
     start = time.monotonic()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(
-                _run_task_tuple,
-                [(t, cache, budget_seconds, seed) for t in tasks]))
-    else:
-        shared = MemoStore(cache)
-        cases = [run_task(t, cache, budget_seconds, seed, memo=shared)
-                 for t in tasks]
+    memo = MemoStore(cache)
+    cases = [run_task(t, memo, budget_seconds, seed) for t in tasks]
     return RunReport(suite=name, cases=cases, elapsed=time.monotonic() - start)

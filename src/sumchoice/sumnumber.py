@@ -6,9 +6,9 @@ a graph attaining the bound is called sc-greedy.
 
 The computation uses three exact identities:
 
-* additivity over connected components;
-* over the blocks B_1..B_k of a connected graph,
-  chi_sc = sum(chi_sc(B_j)) - k + 1;
+* over the blocks B_1..B_k of every component (an isolated vertex is a
+  block of its own), chi_sc = |V| + sum(chi_sc(B_j) - |B_j|); for a
+  connected graph this is sum(chi_sc(B_j)) - k + 1, and components add;
 * for any graph, chi_sc = min(rho, tau) where
   rho = min over vertices of chi_sc(G - v) + deg(v) + 1 and
   tau = minimum size of a choosable "non-simple" size function
@@ -35,7 +35,7 @@ from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
     CANONICAL_MAX_ORDER, CanonicalKey, Graph, blocks, canonical_form,
     canonical_form_and_permutation, enumerate_connected_graphs,
-    induced_subgraph, iter_bits, parse_graph6,
+    induced_subgraph, parse_graph6,
 )
 
 INFINITY = math.inf
@@ -410,10 +410,11 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
            budget: Budget | None = None, *, use_blocks: bool = True) -> ChiOutcome:
     """Exact sum choice number with a verified optimal size function.
 
-    Decomposes over connected components (values add) and blocks
-    (sum - k + 1), then settles each block by min(rho, tau) with tau capped
-    below rho.  On budget exhaustion returns certified bounds instead of a
-    value.
+    Decomposes over the blocks of every component (|V| plus each block's
+    excess over its order), then settles each block by min(rho, tau) with
+    tau capped below rho.  ``use_blocks=False`` skips the decomposition and
+    settles ``g`` itself by min(rho, tau).  On budget exhaustion returns
+    certified bounds instead of a value.
     """
     gb = greedy_bound(g)
     if g.n == 0:
@@ -432,15 +433,11 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
                 inverse[p] = v
             return hit.relabeled(inverse)
 
-    comps = g.component_masks()
-    if len(comps) > 1:
-        outcome = _chi_components(g, comps, memo, budget)
+    blks, cuts = blocks(g) if use_blocks else ([tuple(range(g.n))], ())
+    if len(blks) > 1:
+        outcome = _chi_blocks(g, blks, cuts, memo, budget)
     else:
-        blks, _cuts = blocks(g) if use_blocks else ([tuple(range(g.n))], ())
-        if len(blks) > 1:
-            outcome = _chi_blocks(g, blks, memo, budget)
-        else:
-            outcome = _chi_base(g, memo, budget)
+        outcome = _chi_base(g, memo, budget)
 
     if isinstance(outcome, SumChoiceRecord):
         if outcome.chi_sc > gb:
@@ -450,65 +447,35 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     return outcome
 
 
-def _chi_components(g, comps, memo, budget) -> ChiOutcome:
-    total = 0
-    lower = 0
-    sc = True
-    f = [0] * g.n
+def _chi_blocks(g, blks, cuts, memo, budget) -> ChiOutcome:
+    """Combine the blocks of every component: f(v) = 1 + sum over the blocks
+    B at v of (f_B(v) - 1), so chi_sc = |V| + sum(chi_sc(B) - |B|).  For a
+    connected graph this is sum(chi_sc(B)) - k + 1; components simply add.
+    The combined f is re-verified when some block meets another at a cut
+    vertex."""
+    f = [1] * g.n
+    total = g.n  # a lower bound while some block is unknown
     unknown = False
-    for mask in comps:
-        verts = list(iter_bits(mask))
-        sub = induced_subgraph(g, verts)
-        out = chi_sc(sub, memo, budget)
-        if isinstance(out, ChiUnknown):
-            unknown = True
-            lower += out.lower
-            continue
-        total += out.chi_sc
-        lower += out.chi_sc
-        sc = sc and out.sc_greedy
-        for i, v in enumerate(verts):
-            f[v] = out.optimal_f[i]
-    if unknown:
-        return ChiUnknown(lower, greedy_bound(g), "component computation hit the budget")
-    return SumChoiceRecord(total, greedy_bound(g), total == greedy_bound(g),
-                           tuple(f), None, None, method="components")
-
-
-def _chi_blocks(g, blks, memo, budget) -> ChiOutcome:
-    """sum of block values minus (number of blocks - 1); the combined size
-    function spends one list slot per extra block at each cut vertex."""
-    total = 0
-    lower = 0
-    unknown = False
-    f = [0] * g.n
-    seen_count = [0] * g.n
     for blk in blks:
-        sub = induced_subgraph(g, blk)
-        out = chi_sc(sub, memo, budget)
+        out = chi_sc(induced_subgraph(g, blk), memo, budget)
         if isinstance(out, ChiUnknown):
             unknown = True
-            lower += out.lower - 1
+            total += out.lower - len(blk)
             continue
-        total += out.chi_sc
-        lower += out.chi_sc - 1
+        total += out.chi_sc - len(blk)
         for i, v in enumerate(blk):
-            f[v] += out.optimal_f[i]
-            seen_count[v] += 1
+            f[v] += out.optimal_f[i] - 1
     if unknown:
-        return ChiUnknown(lower + 1, greedy_bound(g), "block computation hit the budget")
-    k = len(blks)
-    chi = total - k + 1
-    for v in range(g.n):
-        f[v] -= seen_count[v] - 1
+        return ChiUnknown(total, greedy_bound(g), "block computation hit the budget")
     fr = tuple(f)
-    try:
-        _verify_choice_function(g, fr, chi, budget)
-    except SearchBudgetExceeded as exc:
-        return ChiUnknown(chi, chi, f"value certified, combined size function "
-                          f"unverified: {exc}")
+    if cuts:
+        try:
+            _verify_choice_function(g, fr, total, budget)
+        except SearchBudgetExceeded as exc:
+            return ChiUnknown(total, total, f"value certified, combined size "
+                              f"function unverified: {exc}")
     gb = greedy_bound(g)
-    return SumChoiceRecord(chi, gb, chi == gb, fr, None, None, method="blocks")
+    return SumChoiceRecord(total, gb, total == gb, fr, None, None, method="blocks")
 
 
 def _chi_base(g, memo, budget) -> ChiOutcome:

@@ -191,15 +191,14 @@ def test_criterion_7_minimally_not_sc_greedy(memo, budget_factory):
 def test_criterion_8_lemma_property_suites(memo, budget_factory):
     budget = budget_factory()
     rng = random.Random(1729 ^ zlib.crc32(b"acceptance"))
+    # the deterministic lemma checks (direct agreement, min(rho, tau),
+    # canonical exhaustiveness, induced heredity) run in the lemma-properties
+    # suite test; these four draw their instances from this test's own seed
     checks = [
         ("reduction_equivalence", (200,)),
-        ("lemma3_direct_agreement", (4,)),
-        ("min_rho_tau_identity", (4,)),
         ("glue_and_pendant", (80,)),
         ("monotonicity", (80,)),
         ("witness_soundness", (60,)),
-        ("canonical_exhaustive", (7,)),
-        ("induced_heredity", (5,)),
     ]
     counts = {}
     ok = True
@@ -211,8 +210,8 @@ def test_criterion_8_lemma_property_suites(memo, budget_factory):
     ok = ok and counts["reduction_equivalence"]["agreements"] >= 200
     ok = ok and counts["glue_and_pendant"]["instances_checked"] >= 100
     ok = ok and counts["monotonicity"]["instances_checked"] >= 200
-    report(8, "reduction, min-size identity, merging, monotonicity, witness "
-              "and enumeration properties hold at the required counts", ok)
+    report(8, "reduction, merging, monotonicity and witness properties hold "
+              "at the required counts", ok)
 
 
 def test_criterion_9_forcing_assignments(memo, budget_factory):

@@ -83,6 +83,31 @@ class TestReduce:
         red = reduce_size_function(generate(Cycle(4)), (2, 2, 2, 2))
         assert red.graph.n == 4 and red.sizes == (2, 2, 2, 2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_lift_matches_a_rescan_at_every_step(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        pairs = vertex_pairs(n)
+        g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+        f = [data.draw(st.integers(1, g.degree(v) + 2)) for v in range(n)]
+        red = reduce_size_function(g, f)
+        start = {v: tuple(sorted(data.draw(st.sets(
+            st.integers(0, 9), min_size=s, max_size=s))))
+            for v, s in zip(red.vertex_map, red.sizes)}
+        reference = dict(start)
+        for step in reversed(red.steps):  # the fresh base rescanned each step
+            base = 1 + max((c for row in reference.values() for c in row),
+                           default=-1)
+            if step.kind == "unit":
+                reference[step.vertex] = (base,)
+                for u in step.neighbors:
+                    reference[u] = tuple(sorted(reference[u] + (base,)))
+            else:
+                reference[step.vertex] = tuple(range(base, base + step.size))
+        lifted = dict(start)
+        choosability._lift_witness(red.steps, lifted)
+        assert lifted == reference
+
 
 class TestIsChoosable:
     def test_triangle_pairs_not_choosable(self):

@@ -197,7 +197,6 @@ class TestLimits:
         ("chi-sc", "--family", "cycle:4", "--budget", "-1"),
         ("choosable", "--family", "cycle:4", "--sizes", "2,2,2,2", "--budget", "nan"),
         ("choosable", "--family", "cycle:4", "--sizes", "2,2,2,2", "--budget", "-1"),
-        ("verify", "four-vertex", "--jobs", "0"),
         ("verify", "four-vertex", "--budget", "nan"),
         ("verify", "four-vertex", "--budget", "-1"),
     ])
@@ -205,6 +204,14 @@ class TestLimits:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: --") and "Traceback" not in err
+
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "four-vertex", "--jobs", "2"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "usage:" in out.err and "unrecognized arguments: --jobs 2" in out.err
+        assert "Traceback" not in out.err
 
     def test_negative_sizes_exit_2(self, capsys):
         code, out, err = run(capsys, "choosable", "--family", "path:2", "--sizes=-1,2")

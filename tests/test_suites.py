@@ -31,10 +31,11 @@ def test_subdivide_edge():
 
 def test_report_json_shape():
     report = run_suite("four-vertex", budget_seconds=300)
-    payload = json.loads(report.to_json())
-    assert payload["suite"] == "four-vertex"
-    assert payload["failed"] == 0
-    assert payload["cases"][0]["provenance"] == "literature"
+    *cases, summary = map(json.loads, report.to_json_lines().splitlines())
+    assert summary["suite"] == "four-vertex" and summary["summary"] is True
+    assert summary["failed"] == 0
+    assert cases[0]["suite"] == "four-vertex"
+    assert cases[0]["provenance"] == "literature"
     assert report.exit_code() == 0
 
 
@@ -49,19 +50,19 @@ def test_unknown_outcome_on_tiny_budget():
                                   "min-nscg-scan"])
 def test_fast_suites_pass(name):
     report = run_suite(name, budget_seconds=600)
-    assert report.exit_code() == 0, report.to_json()
+    assert report.exit_code() == 0, report.to_json_lines()
 
 
 @pytest.mark.slow
 def test_five_vertex_suite_passes():
     report = run_suite("five-vertex", budget_seconds=900)
-    assert report.exit_code() == 0, report.to_json()
+    assert report.exit_code() == 0, report.to_json_lines()
 
 
 @pytest.mark.slow
 def test_lemma_suite_passes():
     report = run_suite("lemma-properties", budget_seconds=900)
-    assert report.exit_code() == 0, report.to_json()
+    assert report.exit_code() == 0, report.to_json_lines()
 
 
 def test_reduction_equivalence_catches_a_wrong_reduction(monkeypatch):
@@ -105,12 +106,6 @@ def test_reduction_equivalence_catches_a_reduction_that_drops_too_much(monkeypat
         (200,), MemoStore(), Budget.of(seconds=600), random.Random(1729))
     assert not ok
     assert "disagreement" in computed
-
-
-def test_parallel_execution_matches_serial():
-    serial = run_suite("cycle-structures", jobs=1, budget_seconds=600)
-    parallel = run_suite("cycle-structures", jobs=2, budget_seconds=600)
-    assert [c.outcome for c in serial.cases] == [c.outcome for c in parallel.cases]
 
 
 def test_reports_deterministic_for_fixed_seed():

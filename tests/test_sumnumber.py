@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import tempfile
@@ -179,6 +180,37 @@ class TestChiSc:
         assert rec.chi_sc == 5 + 3
         single = record(g, MemoStore(), use_blocks=False)
         assert single.chi_sc == 8
+
+    def test_disconnected_graph_with_a_cut_vertex(self):
+        # two triangles sharing vertex 2, a disjoint edge and an isolated vertex
+        g = graph_from_edges(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2),
+                                 (5, 6)])
+        rec = record(g, MemoStore())
+        assert rec.chi_sc == 11 + 3 + 1 and rec.method == "blocks"
+        assert rec.greedy_bound == 8 + 7 and rec.sc_greedy
+        assert sum(rec.optimal_f) == rec.chi_sc
+        assert isinstance(is_choosable(g, rec.optimal_f), Choosable)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_no_decomposition_agrees_on_disconnected_graphs(self, data):
+        # a disjoint union of two or three drawn graphs, randomly relabeled
+        edges, n = [], 0
+        for _ in range(data.draw(st.integers(2, 3))):
+            k = data.draw(st.integers(1, 3))
+            pairs = list(itertools.combinations(range(k), 2))
+            picked = data.draw(st.lists(st.sampled_from(pairs), unique=True)) \
+                if pairs else []
+            edges += [(n + u, n + v) for u, v in picked]
+            n += k
+        perm = data.draw(st.permutations(range(n)))
+        g = graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        split = record(g, MemoStore())
+        whole = record(g, MemoStore(), use_blocks=False)
+        assert whole.chi_sc == split.chi_sc
+        for rec in (split, whole):
+            assert sum(rec.optimal_f) == rec.chi_sc
+            assert isinstance(is_choosable(g, rec.optimal_f), Choosable)
 
     def test_optimal_f_is_verified_choice_function(self, memo):
         for spec in [Cycle(5), CompleteBipartite(2, 3), Wheel(4), Complete(4)]:
