@@ -408,10 +408,11 @@ def _refine(adj: tuple[int, ...], cells: list[int], changed: list[int]) -> list[
     return cells
 
 
-def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically smallest adjacency rows over all relabelings
-    consistent with iterated refinement (exact: ties are fully searched),
-    plus the permutation (old vertex -> new position) achieving them.
+def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lexicographically smallest adjacency rows over all relabelings of
+    the graph with rows ``adj`` consistent with iterated refinement (exact:
+    ties are fully searched), plus the permutation (old vertex -> new
+    position) achieving them.
 
     A node of the search is an ordered partition of the vertices, kept as a
     list of cell masks and refined by :func:`_refine`. The root is the
@@ -430,10 +431,9 @@ def _canonical_rows(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     mask of the vertices it fixes, so that test is one mask comparison, and
     a node applies each automorphism once, merging the orbits of its cell
     as vertex masks."""
-    n = g.n
+    n = len(adj)
     if n == 0:
         return (), ()
-    adj = g.adj
     best: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] = ()
     best_order: list[int] = []
@@ -528,7 +528,7 @@ def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, .
         raise CapacityError(
             f"canonical labeling supports order <= {CANONICAL_MAX_ORDER}, got {g.n}"
         )
-    rows, perm = _canonical_rows(g)
+    rows, perm = _canonical_rows(g.adj)
     return CanonicalKey(_graph6_of_rows(g.n, rows)), perm
 
 
@@ -556,7 +556,8 @@ def _connected_classes(n: int) -> list[Graph]:
     else:
         # Every connected graph has a non-cut vertex, so every class on n
         # vertices arises from some class on n-1 vertices by attaching one
-        # vertex with a nonempty neighborhood.
+        # vertex with a nonempty neighborhood. The candidate rows are
+        # symmetric by construction, so they are labeled without a Graph.
         seen: dict[str, None] = {}
         for base in _connected_classes(n - 1):
             rows = list(base.adj) + [0]
@@ -565,7 +566,8 @@ def _connected_classes(n: int) -> list[Graph]:
                 cand_rows[n - 1] = mask
                 for u in iter_bits(mask):
                     cand_rows[u] |= 1 << (n - 1)
-                seen.setdefault(canonical_form(Graph(n, tuple(cand_rows))), None)
+                canon, _perm = _canonical_rows(tuple(cand_rows))
+                seen.setdefault(_graph6_of_rows(n, canon), None)
         reps = [parse_graph6(key) for key in sorted(seen)]
     _enum_cache[n] = reps
     return reps

@@ -9,7 +9,9 @@ without a source:
   direct search, canonical-key comparison);
 * ``direct``: immediate from definitions.
 
-Suites are lists of independent tasks; ``run_suite`` runs them in order
+Suites are lists of independent tasks. A task holds its check, a function
+``check(args, memo, budget, rng) -> (ok, expected, computed, note)``, and
+the arguments to call it with; ``run_suite`` runs the tasks in order
 through one shared memo store, each with its own budget and seeded rng.
 A task outcome is ``pass``/``fail``/``unknown``; unknown means a budget
 ran out, never a guess.
@@ -56,7 +58,7 @@ SUITE_NAMES = (
 class Task:
     case_id: str
     provenance: str
-    kind: str
+    check: Callable
     args: tuple = ()
 
 
@@ -134,18 +136,8 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Task implementations.  Each returns (ok, expected, computed, note).
+# Checks.  Each returns (ok, expected, computed, note).
 # ---------------------------------------------------------------------------
-
-_TASKS: dict[str, Callable] = {}
-
-
-def _task(name: str):
-    def deco(fn):
-        _TASKS[name] = fn
-        return fn
-    return deco
-
 
 def _rng(seed: int, case_id: str) -> random.Random:
     return random.Random(seed ^ zlib.crc32(case_id.encode()))
@@ -159,8 +151,7 @@ def _chi(g: Graph, memo: MemoStore, budget: Budget):
     return out
 
 
-@_task("chi_value")
-def _t_chi_value(args, memo, budget, rng):
+def chi_value(args, memo, budget, rng):
     source, expect = args
     g = resolve_graph(source)
     rec = _chi(g, memo, budget)
@@ -170,8 +161,7 @@ def _t_chi_value(args, memo, budget, rng):
     return ok, expect, {k: computed[k] for k in expect}, ""
 
 
-@_task("closed_form_agrees")
-def _t_closed_form(args, memo, budget, rng):
+def closed_form_agrees(args, memo, budget, rng):
     (source,) = args
     spec = fam.parse_family(source)
     want = closed_form(spec)
@@ -179,8 +169,7 @@ def _t_closed_form(args, memo, budget, rng):
     return rec.chi_sc == want, {"chi_sc": want}, {"chi_sc": rec.chi_sc}, "closed form vs search"
 
 
-@_task("isomorphic")
-def _t_isomorphic(args, memo, budget, rng):
+def isomorphic(args, memo, budget, rng):
     a, b = args
     ka = canonical_form(resolve_graph(a))
     kb = canonical_form(resolve_graph(b))
@@ -188,8 +177,7 @@ def _t_isomorphic(args, memo, budget, rng):
                                             "keys": [ka, kb]}, ""
 
 
-@_task("gb_value")
-def _t_gb_value(args, memo, budget, rng):
+def gb_value(args, memo, budget, rng):
     source, want_n, want_m, want_gb = args
     g = resolve_graph(source)
     computed = {"n": g.n, "m": g.edge_count, "gb": greedy_bound(g)}
@@ -197,14 +185,24 @@ def _t_gb_value(args, memo, budget, rng):
     return computed == expect, expect, computed, ""
 
 
-@_task("five_vertex_multiset")
-def _t_five_vertex_multiset(args, memo, budget, rng):
+def _two_connected_five_vertex(memo, budget):
+    """(graph, record) for each connected five-vertex graph without a cut
+    vertex."""
+    return [(g, _chi(g, memo, budget)) for g in enumerate_connected_graphs(5)
+            if len(blocks(g)[0]) == 1]
+
+
+def _sc_greedy_check(graphs: list[Graph], memo, budget, note: str = ""):
+    """Pass when every graph in ``graphs`` meets its greedy bound."""
+    bad = [encode_graph6(g) for g in graphs if not _chi(g, memo, budget).sc_greedy]
+    return not bad, {"non_sc_greedy": []}, \
+        {"non_sc_greedy": bad, "graphs_checked": len(graphs)}, note
+
+
+def five_vertex_multiset(args, memo, budget, rng):
     (expected_multiset,) = args
-    values = {}
-    for g in enumerate_connected_graphs(5):
-        if len(blocks(g)[0]) != 1:
-            continue
-        values[canonical_form(g)] = _chi(g, memo, budget).chi_sc
+    values = {canonical_form(g): rec.chi_sc
+              for g, rec in _two_connected_five_vertex(memo, budget)}
     k5 = canonical_form(fam.generate(fam.Complete(5)))
     rest = sorted(v for key, v in values.items() if key != k5)
     ok = rest == list(expected_multiset) and values[k5] == 15
@@ -214,53 +212,28 @@ def _t_five_vertex_multiset(args, memo, budget, rng):
         {"multiset": rest, "K5": values[k5]}, note
 
 
-@_task("unique_seven_edge_gap_one")
-def _t_unique_seven_edge(args, memo, budget, rng):
-    hits = []
-    for g in enumerate_connected_graphs(5):
-        if g.edge_count != 7 or len(blocks(g)[0]) != 1:
-            continue
-        rec = _chi(g, memo, budget)
-        if rec.chi_sc == 11:
-            hits.append((canonical_form(g), rec.chi_sc, rec.greedy_bound))
+def unique_seven_edge_gap_one(args, memo, budget, rng):
+    hits = [(canonical_form(g), rec.chi_sc, rec.greedy_bound)
+            for g, rec in _two_connected_five_vertex(memo, budget)
+            if g.edge_count == 7 and rec.chi_sc == 11]
     ok = len(hits) == 1 and hits[0][2] - hits[0][1] == 1
     return ok, {"count": 1, "value": 11, "gb": 12}, {"hits": hits}, ""
 
 
-@_task("all_sc_greedy_upto")
-def _t_all_sc_greedy(args, memo, budget, rng):
+def all_sc_greedy_upto(args, memo, budget, rng):
     (max_n,) = args
-    bad = []
-    total = 0
-    for n in range(1, max_n + 1):
-        for g in enumerate_connected_graphs(n):
-            total += 1
-            rec = _chi(g, memo, budget)
-            if not rec.sc_greedy:
-                bad.append(encode_graph6(g))
-    return not bad, {"non_sc_greedy": []}, \
-        {"non_sc_greedy": bad, "graphs_checked": total}, ""
+    graphs = [g for n in range(1, max_n + 1) for g in enumerate_connected_graphs(n)]
+    return _sc_greedy_check(graphs, memo, budget)
 
 
-@_task("cut_vertex_classes_sc_greedy")
-def _t_cut_vertex_greedy(args, memo, budget, rng):
+def cut_vertex_classes_sc_greedy(args, memo, budget, rng):
     (n,) = args
-    bad = []
-    total = 0
-    for g in enumerate_connected_graphs(n):
-        if len(blocks(g)[0]) == 1:
-            continue
-        total += 1
-        rec = _chi(g, memo, budget)
-        if not rec.sc_greedy:
-            bad.append(encode_graph6(g))
-    return not bad, {"non_sc_greedy": []}, \
-        {"non_sc_greedy": bad, "graphs_checked": total}, \
-        "every class with a cut vertex must meet the greedy bound"
+    graphs = [g for g in enumerate_connected_graphs(n) if len(blocks(g)[0]) != 1]
+    return _sc_greedy_check(graphs, memo, budget,
+                            "every class with a cut vertex must meet the greedy bound")
 
 
-@_task("minimality_sweep")
-def _t_minimality(args, memo, budget, rng):
+def minimality_sweep(args, memo, budget, rng):
     (n,) = args
     refuted = 0
     graphs = 0
@@ -273,8 +246,7 @@ def _t_minimality(args, memo, budget, rng):
         "every size function one below the optimum was refuted by witness"
 
 
-@_task("edge_pair_values")
-def _t_edge_pair(args, memo, budget, rng):
+def edge_pair_values(args, memo, budget, rng):
     # two graphs differing in one edge, with expected values for both
     src_small, src_large, expect_small, expect_large = args
     small = resolve_graph(src_small)
@@ -287,8 +259,7 @@ def _t_edge_pair(args, memo, budget, rng):
         {"small": ci, "large": cj, "edge_diff": diff}, ""
 
 
-@_task("subdivision_case")
-def _t_subdivision(args, memo, budget, rng):
+def subdivision_case(args, memo, budget, rng):
     # subdividing edge (u, v) of the source graph lands in the class of
     # `target`, and the sc-greedy flags are as stated
     source, u, v, target, source_greedy, target_greedy = args
@@ -304,16 +275,15 @@ def _t_subdivision(args, memo, budget, rng):
          "target_sc_greedy": tg}, ""
 
 
-@_task("min_nscg_scan")
-def _t_min_nscg(args, memo, budget, rng):
+def min_nscg_scan(args, memo, budget, rng):
     (n,) = args
     entries = classify_minimally_not_sc_greedy(n, memo, budget)
     keys = sorted(canonical_form(e.graph) for e in entries)
-    expected_keys = sorted((
+    expected_keys = sorted([
         canonical_form(fam.generate(fam.CompleteBipartite(2, 3))),
         canonical_form(fam.generate(fam.Wheel(4))),
-        _unique_seven_edge_key(memo, budget),
-    ))
+    ] + [canonical_form(g) for g, rec in _two_connected_five_vertex(memo, budget)
+         if g.edge_count == 7 and rec.chi_sc == 11])
     gaps_ok = all(e.gap_is_one for e in entries)
     small = [encode_graph6(e.graph) for e in entries if e.graph.n < 5]
     deg2_ok = all(e.gap_is_one for e in entries if e.min_degree == 2)
@@ -325,14 +295,6 @@ def _t_min_nscg(args, memo, budget, rng):
         "minimum degree and gap per entry: " + "; ".join(
             f"{encode_graph6(e.graph)} delta={e.min_degree} "
             f"gap={e.greedy_bound - e.chi_sc}" for e in entries)
-
-
-def _unique_seven_edge_key(memo, budget):
-    for g in enumerate_connected_graphs(5):
-        if g.edge_count == 7 and len(blocks(g)[0]) == 1:
-            if _chi(g, memo, budget).chi_sc == 11:
-                return canonical_form(g)
-    raise AssertionError("no 7-edge class with value 11 found")
 
 
 # -- property bundles -------------------------------------------------------
@@ -351,8 +313,7 @@ def _irreducible_instance(rng: random.Random, n: int) -> tuple[Graph, tuple[int,
             return g, tuple(rng.randint(2, d) for d in degrees)
 
 
-@_task("reduction_equivalence")
-def _t_reduction_equiv(args, memo, budget, rng):
+def reduction_equivalence(args, memo, budget, rng):
     # every other instance is irreducible, so a fault in what the reduction
     # leaves, and not only in what it strips, changes a verdict
     (count,) = args
@@ -378,8 +339,7 @@ def _t_reduction_equiv(args, memo, budget, rng):
         {"agreements": agree, "irreducible": irreducible}, ""
 
 
-@_task("lemma3_direct_agreement")
-def _t_lemma3(args, memo, budget, rng):
+def lemma3_direct_agreement(args, memo, budget, rng):
     (max_n,) = args
     checked = 0
     for n in range(1, max_n + 1):
@@ -394,8 +354,7 @@ def _t_lemma3(args, memo, budget, rng):
         "direct nondecreasing-size search equals the rho/tau value"
 
 
-@_task("min_rho_tau_identity")
-def _t_min_rho_tau(args, memo, budget, rng):
+def min_rho_tau_identity(args, memo, budget, rng):
     # chi == min(rho, tau), with rho and tau recomputed standalone.  tau
     # values at or above rho cannot change the minimum, so searching size
     # functions up to rho - 1 evaluates min(rho, tau) exactly.
@@ -418,8 +377,7 @@ def _t_min_rho_tau(args, memo, budget, rng):
         "tau capped below rho, which cannot change the minimum"
 
 
-@_task("glue_and_pendant")
-def _t_glue_pendant(args, memo, budget, rng):
+def glue_and_pendant(args, memo, budget, rng):
     (glue_count,) = args
     bases = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
     checked = 0
@@ -463,8 +421,7 @@ def _t_glue_pendant(args, memo, budget, rng):
         "single-vertex merges computed without block decomposition"
 
 
-@_task("monotonicity")
-def _t_monotonicity(args, memo, budget, rng):
+def monotonicity(args, memo, budget, rng):
     (f_count,) = args
     checked = 0
     for _ in range(f_count):
@@ -496,8 +453,7 @@ def _t_monotonicity(args, memo, budget, rng):
         "growing f keeps choosability; deleting an edge never raises the value"
 
 
-@_task("witness_soundness")
-def _t_witness_soundness(args, memo, budget, rng):
+def witness_soundness(args, memo, budget, rng):
     (count,) = args
     found = 0
     tries = 0
@@ -524,8 +480,7 @@ def _t_witness_soundness(args, memo, budget, rng):
         "sizes match, uncolorable, and stays uncolorable under injective recoloring"
 
 
-@_task("canonical_exhaustive")
-def _t_canonical_exhaustive(args, memo, budget, rng):
+def canonical_exhaustive(args, memo, budget, rng):
     (max_total,) = args
     small = [
         graph_from_edges(1, []),
@@ -576,8 +531,7 @@ def _canonical_rep(lists) -> tuple:
     return tuple(tuple(sorted(ranks[c] for c in row)) for row in lists)
 
 
-@_task("induced_heredity")
-def _t_induced_heredity(args, memo, budget, rng):
+def induced_heredity(args, memo, budget, rng):
     # a non-sc-greedy induced subgraph forces non-sc-greediness
     (n,) = args
     import itertools
@@ -596,8 +550,7 @@ def _t_induced_heredity(args, memo, budget, rng):
         "sc-greedy graphs have only sc-greedy induced subgraphs"
 
 
-@_task("forcing_instances")
-def _t_forcing(args, memo, budget, rng):
+def forcing_instances(args, memo, budget, rng):
     source, sizes, colors_per_vertex = args
     g = resolve_graph(source)
     f = tuple(sizes)
@@ -619,8 +572,7 @@ def _t_forcing(args, memo, budget, rng):
         "every proper coloring of each returned assignment pins the color"
 
 
-@_task("greedy_function_choosable")
-def _t_greedy_choosable(args, memo, budget, rng):
+def greedy_function_choosable(args, memo, budget, rng):
     (max_n, samples) = args
     checked = 0
     for _ in range(samples):
@@ -648,67 +600,66 @@ def _t_greedy_choosable(args, memo, budget, rng):
 def build_suite(name: str, extended: bool = False) -> list[Task]:
     if name == "four-vertex":
         return [
-            Task("four-vertex/all-sc-greedy", "literature",
-                 "all_sc_greedy_upto", (4,)),
+            Task("four-vertex/all-sc-greedy", "literature", all_sc_greedy_upto, (4,)),
         ]
     if name == "five-vertex":
         expected = (10, 10, 11, 11, 12, 12, 12, 13, 14)
         tasks = [
             Task("five-vertex/two-connected-multiset", "literature",
-                 "five_vertex_multiset", (expected,)),
-            Task("five-vertex/C5", "literature", "chi_value",
+                 five_vertex_multiset, (expected,)),
+            Task("five-vertex/C5", "literature", chi_value,
                  ("cycle:5", {"chi_sc": 10, "sc_greedy": True})),
-            Task("five-vertex/K23", "literature", "chi_value",
+            Task("five-vertex/K23", "literature", chi_value,
                  ("bipartite:2,3", {"chi_sc": 10, "sc_greedy": False})),
-            Task("five-vertex/Theta012", "literature", "chi_value",
+            Task("five-vertex/Theta012", "literature", chi_value,
                  ("theta:0,1,2", {"chi_sc": 11, "sc_greedy": True})),
-            Task("five-vertex/BW4", "literature", "chi_value",
+            Task("five-vertex/BW4", "literature", chi_value,
                  ("brokenwheel:4", {"chi_sc": 12, "sc_greedy": True})),
-            Task("five-vertex/BW4-is-P5-squared", "derived", "isomorphic",
+            Task("five-vertex/BW4-is-P5-squared", "derived", isomorphic,
                  ("brokenwheel:4", "power:path:5,2")),
-            Task("five-vertex/W4", "literature", "chi_value",
+            Task("five-vertex/W4", "literature", chi_value,
                  ("wheel:4", {"chi_sc": 12, "sc_greedy": False})),
-            Task("five-vertex/K5-minus-edge", "literature", "chi_value",
+            Task("five-vertex/K5-minus-edge", "literature", chi_value,
                  ("g6:" + encode_graph6(
                      fam.generate(fam.Complete(5)).remove_edge(0, 1)),
                   {"chi_sc": 14, "sc_greedy": True})),
-            Task("five-vertex/K5", "literature", "chi_value",
+            Task("five-vertex/K5", "literature", chi_value,
                  ("complete:5", {"chi_sc": 15, "sc_greedy": True})),
             Task("five-vertex/unique-seven-edge-gap-one", "literature",
-                 "unique_seven_edge_gap_one", ()),
+                 unique_seven_edge_gap_one, ()),
             Task("five-vertex/cut-vertex-classes", "literature",
-                 "cut_vertex_classes_sc_greedy", (5,)),
-            Task("five-vertex/minimality", "derived", "minimality_sweep", (5,)),
+                 cut_vertex_classes_sc_greedy, (5,)),
+            Task("five-vertex/minimality", "derived", minimality_sweep, (5,)),
         ]
         return tasks
     if name == "table1-small":
         tasks = [
-            Task("table1/K21", "formula", "chi_value",
+            Task("table1/K21", "formula", chi_value,
                  ("bipartite:2,1", {"chi_sc": 5})),
-            Task("table1/K22", "formula", "chi_value",
+            Task("table1/K22", "formula", chi_value,
                  ("bipartite:2,2", {"chi_sc": 8})),
-            Task("table1/K23", "formula", "chi_value",
+            Task("table1/K23", "formula", chi_value,
                  ("bipartite:2,3", {"chi_sc": 10})),
-            Task("table1/K24", "formula", "chi_value",
+            Task("table1/K24", "formula", chi_value,
                  ("bipartite:2,4", {"chi_sc": 13})),
-            Task("table1/K2xK3", "formula", "chi_value",
+            Task("table1/K2xK3", "formula", chi_value,
                  ("product:complete:2,complete:3", {"chi_sc": 14})),
-            Task("table1/Theta111", "formula", "chi_value",
+            Task("table1/Theta111", "formula", chi_value,
                  ("theta:1,1,1", {"chi_sc": 10})),
-            Task("table1/Theta111-is-K23", "derived", "isomorphic",
+            Task("table1/Theta111-is-K23", "derived", isomorphic,
                  ("theta:1,1,1", "bipartite:2,3")),
-            Task("table1/Theta112", "formula", "chi_value",
+            Task("table1/Theta112", "formula", chi_value,
                  ("theta:1,1,2", {"chi_sc": 13, "sc_greedy": True})),
             Task("table1/closed-form-cross-checks", "formula",
-                 "closed_form_agrees", ("bipartite:2,4",)),
+                 closed_form_agrees, ("bipartite:2,4",)),
         ]
         if extended:
             tasks += [
-                Task("table1/K33", "formula", "chi_value",
+                Task("table1/K33", "formula", chi_value,
                      ("bipartite:3,3", {"chi_sc": 13})),
-                Task("table1/Theta113", "formula", "chi_value",
+                Task("table1/Theta113", "formula", chi_value,
                      ("theta:1,1,3", {"chi_sc": 14, "sc_greedy": False})),
-                Task("table1/P3xP3", "formula", "chi_value",
+                Task("table1/P3xP3", "formula", chi_value,
                      ("product:path:3,path:3", {"chi_sc": 20})),
             ]
         return tasks
@@ -717,54 +668,51 @@ def build_suite(name: str, extended: bool = False) -> list[Task]:
         pan = k23.remove_edge(0, 2)  # a 4-cycle with one pendant vertex
         g55 = k23.add_edge(0, 1)
         return [
-            Task("edges/pendant-cycle-vs-K23", "literature", "edge_pair_values",
+            Task("edges/pendant-cycle-vs-K23", "literature", edge_pair_values,
                  ("g6:" + encode_graph6(pan), "bipartite:2,3", 10, 10)),
-            Task("edges/K23-vs-one-edge-supergraph", "literature",
-                 "edge_pair_values",
+            Task("edges/K23-vs-one-edge-supergraph", "literature", edge_pair_values,
                  ("bipartite:2,3", "g6:" + encode_graph6(g55), 10, 12)),
-            Task("edges/BW3-subdivides-to-K23", "literature", "subdivision_case",
+            Task("edges/BW3-subdivides-to-K23", "literature", subdivision_case,
                  ("brokenwheel:3", 0, 2, "bipartite:2,3", True, False)),
-            Task("edges/K23-subdivides-to-Theta112", "literature",
-                 "subdivision_case",
+            Task("edges/K23-subdivides-to-Theta112", "literature", subdivision_case,
                  ("bipartite:2,3", 0, 2, "theta:1,1,2", False, True)),
         ]
     if name == "cycle-structures":
         return [
-            Task("cycles/path-4-4", "literature", "chi_value",
+            Task("cycles/path-4-4", "literature", chi_value,
                  ("pathcycles:4,4", {"chi_sc": 13, "sc_greedy": True})),
-            Task("cycles/path-4-5", "literature", "chi_value",
+            Task("cycles/path-4-5", "literature", chi_value,
                  ("pathcycles:4,5", {"chi_sc": 15, "sc_greedy": True})),
-            Task("cycles/tree-of-three", "literature", "chi_value",
+            Task("cycles/tree-of-three", "literature", chi_value,
                  ("treecycles:4/1.0.4/1.2.4", {"chi_sc": 18, "sc_greedy": True})),
-            Task("cycles/tree-greedy-bound", "formula", "gb_value",
+            Task("cycles/tree-greedy-bound", "formula", gb_value,
                  ("treecycles:6/1.0.4/1.2.4/1.4.4", 12, 15, 27)),
-            Task("cycles/path-greedy-bound", "formula", "gb_value",
+            Task("cycles/path-greedy-bound", "formula", gb_value,
                  ("pathcycles:4,5,4", 9, 11, 20)),
         ]
     if name == "lemma-properties":
         return [
             Task("lemma/reduction-equivalence", "derived",
-                 "reduction_equivalence", (200,)),
+                 reduction_equivalence, (200,)),
             Task("lemma/min-size-direct-agreement", "derived",
-                 "lemma3_direct_agreement", (4,)),
-            Task("lemma/min-rho-tau-identity", "derived",
-                 "min_rho_tau_identity", (5,)),
-            Task("lemma/glue-and-pendant", "derived", "glue_and_pendant", (80,)),
-            Task("lemma/monotonicity", "derived", "monotonicity", (80,)),
-            Task("lemma/witness-soundness", "derived", "witness_soundness", (60,)),
-            Task("lemma/canonical-exhaustive", "derived",
-                 "canonical_exhaustive", (7,)),
-            Task("lemma/induced-heredity", "derived", "induced_heredity", (5,)),
+                 lemma3_direct_agreement, (4,)),
+            Task("lemma/min-rho-tau-identity", "derived", min_rho_tau_identity, (5,)),
+            Task("lemma/glue-and-pendant", "derived", glue_and_pendant, (80,)),
+            Task("lemma/monotonicity", "derived", monotonicity, (80,)),
+            Task("lemma/witness-soundness", "derived", witness_soundness, (60,)),
+            Task("lemma/canonical-exhaustive", "derived", canonical_exhaustive, (7,)),
+            Task("lemma/induced-heredity", "derived", induced_heredity, (5,)),
             Task("lemma/greedy-function", "derived",
-                 "greedy_function_choosable", (5, 60)),
-            Task("lemma/forcing-on-C4", "literature", "forcing_instances",
+                 greedy_function_choosable, (5, 60)),
+            Task("lemma/forcing-on-C4", "literature", forcing_instances,
                  ("cycle:4", (1, 2, 2, 3), 3)),
         ]
     if name == "min-nscg-scan":
         return [
-            Task("min-nscg/scan-to-five", "literature", "min_nscg_scan", (5,)),
+            Task("min-nscg/scan-to-five", "literature", min_nscg_scan, (5,)),
         ]
-    raise SumChoiceError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    raise SumChoiceError(
+        f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +725,7 @@ def run_task(task: Task, memo: MemoStore, budget_seconds: float,
     rng = _rng(seed, task.case_id)
     start = time.monotonic()
     try:
-        ok, expected, computed, note = _TASKS[task.kind](
-            task.args, memo, budget, rng)
+        ok, expected, computed, note = task.check(task.args, memo, budget, rng)
         outcome = "pass" if ok else "fail"
     except SearchBudgetExceeded as exc:
         outcome, expected, computed, note = "unknown", None, None, str(exc)

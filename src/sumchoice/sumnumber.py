@@ -69,11 +69,14 @@ def greedy_choice_function(g: Graph, ordering: Sequence[int] | None = None) -> S
 class SumChoiceRecord:
     chi_sc: int
     greedy_bound: int
-    sc_greedy: bool
     optimal_f: SizeFunction
     rho: int | float | None  # None: not computed on this path
     tau: int | float | None  # None: capped search found nothing at <= cap
     method: str = ""
+
+    @property
+    def sc_greedy(self) -> bool:
+        return self.chi_sc == self.greedy_bound
 
     def relabeled(self, perm: Sequence[int]) -> "SumChoiceRecord":
         """Map optimal_f through perm (old vertex -> new position)."""
@@ -169,7 +172,6 @@ class MemoStore:
                     rec = SumChoiceRecord(
                         chi_sc=obj["chi_sc"],
                         greedy_bound=obj["gb"],
-                        sc_greedy=obj["chi_sc"] == obj["gb"],
                         optimal_f=tuple(obj["optimal_f"]),
                         rho=_decode_bound(obj["rho"]),
                         tau=_decode_bound(obj["tau"]),
@@ -273,14 +275,19 @@ def bounded_sum_vectors(lows: Sequence[int], highs: Sequence[int],
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TauResult:
-    value: int | float  # INFINITY when nothing choosable at <= cap
+class BoundResult:
+    """What ``rho`` or ``tau`` found: the bound and a size function of that
+    size. With ``unknown`` the bound is undecided but at least
+    ``lower_bound``; ``tau`` also sets it when it decides: every non-simple
+    size function below it is not choosable."""
+
+    value: int | float  # INFINITY: no vertices (rho), none at <= cap (tau)
     choice_function: SizeFunction | None
     unknown: bool = False
-    lower_bound: int = 0  # every non-simple size below this is not choosable
+    lower_bound: int = 0
 
 
-def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> TauResult:
+def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult:
     """Minimum size of a choosable size function with 2 <= f(v) <= deg(v)
     for every vertex, searched in nondecreasing total size up to ``cap``
     (lexicographic within one size).  INFINITY if none exists at <= cap or
@@ -292,34 +299,26 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> TauResult:
     """
     degs = [g.degree(v) for v in range(g.n)]
     if g.n == 0 or min(degs) < 2:
-        return TauResult(INFINITY, None)
+        return BoundResult(INFINITY, None)
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
     for total in range(2 * g.n, hi + 1):
         for f in bounded_sum_vectors(lows, degs, total):
             verdict = is_choosable(g, f, budget)
             if isinstance(verdict, UnknownVerdict):
-                return TauResult(INFINITY, None, unknown=True, lower_bound=total)
+                return BoundResult(INFINITY, None, unknown=True, lower_bound=total)
             if isinstance(verdict, Choosable):
-                return TauResult(total, f, lower_bound=total)
+                return BoundResult(total, f, lower_bound=total)
         if budget is not None:
             try:
                 budget.check("size-function search")
             except SearchBudgetExceeded:
-                return TauResult(INFINITY, None, unknown=True, lower_bound=total + 1)
-    return TauResult(INFINITY, None, lower_bound=hi + 1)
-
-
-@dataclass
-class RhoResult:
-    value: int | float  # INFINITY for the empty graph
-    choice_function: SizeFunction | None
-    unknown: bool = False
-    lower_bound: int = 0
+                return BoundResult(INFINITY, None, unknown=True, lower_bound=total + 1)
+    return BoundResult(INFINITY, None, lower_bound=hi + 1)
 
 
 def rho(g: Graph, memo: "MemoStore | None" = None,
-        budget: Budget | None = None) -> RhoResult:
+        budget: Budget | None = None) -> BoundResult:
     """min over vertices of chi_sc(G - v) + deg(v) + 1 (INFINITY when there
     are no vertices).  Ties broken by ascending vertex index.  The choice
     function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted.
@@ -352,9 +351,9 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
                 best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
             floor = min(floor, out.chi_sc + step)
     if any_unknown and best > floor:
-        return RhoResult(INFINITY, None, unknown=True,
-                         lower_bound=int(floor) if floor != INFINITY else 0)
-    return RhoResult(best, best_f)
+        return BoundResult(INFINITY, None, unknown=True,
+                           lower_bound=int(floor) if floor != INFINITY else 0)
+    return BoundResult(best, best_f)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     """
     gb = greedy_bound(g)
     if g.n == 0:
-        return SumChoiceRecord(0, 0, True, (), INFINITY, INFINITY, method="empty")
+        return SumChoiceRecord(0, 0, (), INFINITY, INFINITY, method="empty")
 
     key, perm = _memo_key(g)
     memo = memo if memo is not None else MemoStore()
@@ -475,7 +474,7 @@ def _chi_blocks(g, blks, cuts, memo, budget) -> ChiOutcome:
             return ChiUnknown(total, total, f"value certified, combined size "
                               f"function unverified: {exc}")
     gb = greedy_bound(g)
-    return SumChoiceRecord(total, gb, total == gb, fr, None, None, method="blocks")
+    return SumChoiceRecord(total, gb, fr, None, None, method="blocks")
 
 
 def _chi_base(g, memo, budget) -> ChiOutcome:
@@ -508,7 +507,7 @@ def _chi_base(g, memo, budget) -> ChiOutcome:
         except SearchBudgetExceeded as exc:
             return ChiUnknown(chi, chi, f"value certified, lifted size function "
                               f"unverified: {exc}")
-    return SumChoiceRecord(chi, gb, chi == gb, f, rho_val, tau_field,
+    return SumChoiceRecord(chi, gb, f, rho_val, tau_field,
                            method="rho-tau")
 
 

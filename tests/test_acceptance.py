@@ -23,7 +23,9 @@ from sumchoice.families import (
     PathOfCycles, Power, Theta, TreeOfCycles, Wheel,
 )
 from sumchoice.graphs import blocks
-from sumchoice.suites import _TASKS
+from sumchoice.suites import (
+    glue_and_pendant, monotonicity, reduction_equivalence, witness_soundness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -195,17 +197,17 @@ def test_criterion_8_lemma_property_suites(memo, budget_factory):
     # canonical exhaustiveness, induced heredity) run in the lemma-properties
     # suite test; these four draw their instances from this test's own seed
     checks = [
-        ("reduction_equivalence", (200,)),
-        ("glue_and_pendant", (80,)),
-        ("monotonicity", (80,)),
-        ("witness_soundness", (60,)),
+        (reduction_equivalence, (200,)),
+        (glue_and_pendant, (80,)),
+        (monotonicity, (80,)),
+        (witness_soundness, (60,)),
     ]
     counts = {}
     ok = True
-    for kind, args in checks:
-        good, _expected, computed, _note = _TASKS[kind](args, memo, budget, rng)
+    for check, args in checks:
+        good, _expected, computed, _note = check(args, memo, budget, rng)
         ok = ok and good
-        counts[kind] = computed
+        counts[check.__name__] = computed
     # spec'd minimum instance counts
     ok = ok and counts["reduction_equivalence"]["agreements"] >= 200
     ok = ok and counts["glue_and_pendant"]["instances_checked"] >= 100

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +8,9 @@ from sumchoice import (
     Budget, MemoStore, canonical_form, choosability, generate, graph_from_edges,
     induced_subgraph,
 )
+from sumchoice import suites
 from sumchoice.suites import (
-    SUITE_NAMES, _TASKS, build_suite, run_suite, subdivide_edge,
+    SUITE_NAMES, build_suite, reduction_equivalence, run_suite, subdivide_edge,
 )
 from sumchoice.families import Cycle, Wheel
 
@@ -18,6 +20,7 @@ def test_every_suite_builds():
         tasks = build_suite(name, extended=True)
         assert tasks
         assert all(t.provenance for t in tasks)
+        assert all(callable(t.check) for t in tasks)
         assert len({t.case_id for t in tasks}) == len(tasks)
 
 
@@ -76,7 +79,7 @@ def test_reduction_equivalence_catches_a_wrong_reduction(monkeypatch):
         return real(graph_from_edges(g.n, kept), f)
 
     monkeypatch.setattr(choosability, "reduce_size_function", wrong)
-    ok, _expected, computed, _note = _TASKS["reduction_equivalence"](
+    ok, _expected, computed, _note = reduction_equivalence(
         (200,), MemoStore(), Budget.of(seconds=600), random.Random(1729))
     assert not ok
     assert "disagreement" in computed
@@ -102,10 +105,28 @@ def test_reduction_equivalence_catches_a_reduction_that_drops_too_much(monkeypat
             vertex_map=red.vertex_map[:-1], dead=False)
 
     monkeypatch.setattr(choosability, "reduce_size_function", wrong)
-    ok, _expected, computed, _note = _TASKS["reduction_equivalence"](
+    ok, _expected, computed, _note = reduction_equivalence(
         (200,), MemoStore(), Budget.of(seconds=600), random.Random(1729))
     assert not ok
     assert "disagreement" in computed
+
+
+def test_min_nscg_scan_fails_without_a_seven_edge_class_of_value_eleven(monkeypatch):
+    # the suite's own reading of the five-vertex seven-edge class is 12; the
+    # scan, which computes apart from the suite, still finds three classes
+    real = suites.chi_sc
+
+    def misread(g, memo=None, budget=None, **kw):
+        out = real(g, memo, budget, **kw)
+        if g.n == 5 and g.edge_count == 7 and out.chi_sc == 11:
+            return replace(out, chi_sc=12)
+        return out
+
+    monkeypatch.setattr(suites, "chi_sc", misread)
+    report = run_suite("min-nscg-scan", budget_seconds=600)
+    assert [c.outcome for c in report.cases] == ["fail"]
+    assert len(report.cases[0].computed["classes"]) == 3
+    assert len(report.cases[0].expected["classes"]) == 2
 
 
 def test_reports_deterministic_for_fixed_seed():
