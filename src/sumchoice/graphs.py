@@ -408,11 +408,13 @@ def _refine(adj: tuple[int, ...], cells: list[int], changed: list[int]) -> list[
     return cells
 
 
-def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_rows(adj: tuple[int, ...]) -> tuple[
+        tuple[int, ...], tuple[int, ...], list[tuple[list[int], int]]]:
     """Lexicographically smallest adjacency rows over all relabelings of
     the graph with rows ``adj`` consistent with iterated refinement (exact:
-    ties are fully searched), plus the permutation (old vertex -> new
-    position) achieving them.
+    ties are fully searched), the permutation (old vertex -> new position)
+    achieving them, and the automorphisms the search found, each as a
+    vertex map with the mask of the vertices it fixes.
 
     A node of the search is an ordered partition of the vertices, kept as a
     list of cell masks and refined by :func:`_refine`. The root is the
@@ -433,7 +435,7 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     as vertex masks."""
     n = len(adj)
     if n == 0:
-        return (), ()
+        return (), (), []
     best: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] = ()
     best_order: list[int] = []
@@ -518,7 +520,15 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     start = [by_degree[d] for d in sorted(by_degree)]
     search(start, start, 0)
     assert best is not None
-    return best, best_perm
+    return best, best_perm, automorphisms
+
+
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms of g as vertex maps (v -> gamma[v]), those the
+    canonical labeling search finds on its way; none is the identity. The
+    tests check that they generate Aut(G) against an exhaustive count, on
+    every connected graph of order <= 7 and on drawn graphs of order <= 7."""
+    return [gamma for gamma, _fixes in _canonical_rows(g.adj)[2]]
 
 
 def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
@@ -528,7 +538,7 @@ def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, .
         raise CapacityError(
             f"canonical labeling supports order <= {CANONICAL_MAX_ORDER}, got {g.n}"
         )
-    rows, perm = _canonical_rows(g.adj)
+    rows, perm, _automorphisms = _canonical_rows(g.adj)
     return CanonicalKey(_graph6_of_rows(g.n, rows)), perm
 
 
@@ -566,7 +576,7 @@ def _connected_classes(n: int) -> list[Graph]:
                 cand_rows[n - 1] = mask
                 for u in iter_bits(mask):
                     cand_rows[u] |= 1 << (n - 1)
-                canon, _perm = _canonical_rows(tuple(cand_rows))
+                canon = _canonical_rows(tuple(cand_rows))[0]
                 seen.setdefault(_graph6_of_rows(n, canon), None)
         reps = [parse_graph6(key) for key in sorted(seen)]
     _enum_cache[n] = reps

@@ -15,8 +15,12 @@ The computation uses three exact identities:
   (2 <= f(v) <= deg(v) for every v; infinity when none exists).
 
 Since rho always yields a choice function of its own size, tau only needs
-to be searched strictly below rho.  Recursion over vertex-deleted subgraphs
-is memoized by canonical key, so isomorphic subproblems are solved once.
+to be searched strictly below rho.  Within one size, tau skips every
+candidate f that an automorphism gamma maps onto a lexicographically
+smaller one, f o gamma: the candidates of a size come in lexicographic
+order, so f o gamma was already refuted, and f and f o gamma have the same
+verdict.  Recursion over vertex-deleted subgraphs is memoized by canonical
+key, so isomorphic subproblems are solved once.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from .choosability import (
 )
 from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
-    CANONICAL_MAX_ORDER, CanonicalKey, Graph, blocks, canonical_form,
-    canonical_form_and_permutation, enumerate_connected_graphs,
-    induced_subgraph, parse_graph6,
+    CANONICAL_MAX_ORDER, CanonicalKey, Graph, automorphism_generators,
+    blocks, canonical_form, canonical_form_and_permutation,
+    enumerate_connected_graphs, induced_subgraph, parse_graph6,
 )
 
 INFINITY = math.inf
@@ -293,27 +297,47 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult
     (lexicographic within one size).  INFINITY if none exists at <= cap or
     some vertex has degree below 2.
 
-    The candidates of one size are checked one at a time, in order, and the
+    The candidates of one size are taken one at a time, in order, and the
     first Choosable or Unknown verdict settles the size: no later candidate
-    is checked.
+    is checked.  A candidate f is skipped, not checked, when f o gamma <lex f
+    for one of the automorphisms gamma of ``automorphism_generators(g)``,
+    where (f o gamma)(v) = f(gamma(v)).  That is exact, and it rests on the
+    lexicographic order within a size: gamma preserves degrees, so f o gamma
+    lies in the same box at the same size and came earlier, hence was
+    refuted (or skipped, by the same argument); and relabeling an
+    uncolorable (f o gamma)-assignment by gamma gives an uncolorable
+    f-assignment.  The automorphisms are found once, when the second
+    candidate of some size is reached; the first candidate of a size is the
+    smallest in the box and never skipped.
+
+    The budget is checked before every candidate, checked or skipped; once
+    it runs out the result is unknown with every smaller size refuted.
     """
     degs = [g.degree(v) for v in range(g.n)]
     if g.n == 0 or min(degs) < 2:
         return BoundResult(INFINITY, None)
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
+    maps: list[list[int]] | None = None
     for total in range(2 * g.n, hi + 1):
+        first = True
         for f in bounded_sum_vectors(lows, degs, total):
+            if budget is not None:
+                try:
+                    budget.check("size-function search")
+                except SearchBudgetExceeded:
+                    return BoundResult(INFINITY, None, unknown=True, lower_bound=total)
+            if not first:
+                if maps is None:
+                    maps = automorphism_generators(g)
+                if any(tuple([f[w] for w in gamma]) < f for gamma in maps):
+                    continue
+            first = False
             verdict = is_choosable(g, f, budget)
             if isinstance(verdict, UnknownVerdict):
                 return BoundResult(INFINITY, None, unknown=True, lower_bound=total)
             if isinstance(verdict, Choosable):
                 return BoundResult(total, f, lower_bound=total)
-        if budget is not None:
-            try:
-                budget.check("size-function search")
-            except SearchBudgetExceeded:
-                return BoundResult(INFINITY, None, unknown=True, lower_bound=total + 1)
     return BoundResult(INFINITY, None, lower_bound=hi + 1)
 
 

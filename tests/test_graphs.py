@@ -9,7 +9,7 @@ from sumchoice import (
 from sumchoice.families import (
     BrokenWheel, Complete, CompleteBipartite, Cycle, Path, Wheel,
 )
-from sumchoice.graphs import Graph, distances_from
+from sumchoice.graphs import Graph, automorphism_generators, distances_from
 
 from conftest import graph_from_mask, vertex_pairs
 
@@ -198,3 +198,76 @@ class TestProductsAndPowers:
         g = generate(Path(4))
         assert distances_from(g, 0) == [0, 1, 2, 3]
         assert distances_from(empty_graph(2), 0) == [0, -1]
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(G)| by exhaustive search: vertex v's image ranges over every
+    unused vertex whose adjacencies to the images of 0..v-1 match v's."""
+    image = [0] * g.n
+
+    def extend(v: int, used: int) -> int:
+        if v == g.n:
+            return 1
+        count = 0
+        for w in range(g.n):
+            if not used >> w & 1 and all(
+                    g.adj[v] >> u & 1 == g.adj[w] >> image[u] & 1 for u in range(v)):
+                image[v] = w
+                count += extend(v + 1, used | 1 << w)
+        return count
+
+    return extend(0, 0)
+
+
+def generated_group_order(n: int, maps: list[list[int]]) -> int:
+    """Order of the permutation group that ``maps`` generate."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for gamma in maps:
+                q = tuple([gamma[p[v]] for v in range(n)])
+                if q not in group:
+                    group.add(q)
+                    grown.append(q)
+        frontier = grown
+    return len(group)
+
+
+def check_automorphism_generators(g: Graph) -> None:
+    maps = automorphism_generators(g)
+    for gamma in maps:
+        assert sorted(gamma) == list(range(g.n))
+        assert gamma != list(range(g.n))
+        for u, v in g.edges():
+            assert g.has_edge(gamma[u], gamma[v]), (g.adj, gamma)
+    assert generated_group_order(g.n, maps) == automorphism_count(g), g.adj
+
+
+class TestAutomorphismGenerators:
+    def test_every_connected_graph_up_to_order_6(self):
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                check_automorphism_generators(g)
+
+    @pytest.mark.extended
+    def test_every_connected_graph_of_order_7(self):
+        graphs = list(enumerate_connected_graphs(7))
+        assert len(graphs) == 853
+        for g in graphs:
+            check_automorphism_generators(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(7))
+    def test_drawn_graphs_disconnected_ones_included(self, g):
+        check_automorphism_generators(g)
+
+    @pytest.mark.parametrize("g, order", [
+        (k(6), 720), (generate(Cycle(8)), 16), (generate(Wheel(6)), 12),
+        (generate(CompleteBipartite(3, 4)), 144), (empty_graph(5), 120),
+        (empty_graph(0), 1)])
+    def test_known_group_orders(self, g, order):
+        assert automorphism_count(g) == order
+        check_automorphism_generators(g)

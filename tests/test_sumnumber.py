@@ -11,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from sumchoice import sumnumber
 from sumchoice import (
-    Budget, ChiUnknown, Choosable, INFINITY, MemoStore, SumChoiceRecord,
-    canonical_form, chi_sc, classify_minimally_not_sc_greedy, closed_form,
-    confirm_minimality, direct_min_choice_size, empty_graph,
-    enumerate_connected_graphs, generate, graph_from_edges, greedy_bound,
-    greedy_choice_function, is_choosable, is_sc_greedy, parse_graph6, rho, tau,
+    Budget, ChiUnknown, Choosable, INFINITY, MemoStore, NotChoosable,
+    SumChoiceRecord, UnknownVerdict, canonical_form, chi_sc,
+    classify_minimally_not_sc_greedy, closed_form, confirm_minimality,
+    direct_min_choice_size, empty_graph, enumerate_connected_graphs, generate,
+    graph_from_edges, greedy_bound, greedy_choice_function, is_choosable,
+    is_list_colorable, is_sc_greedy, parse_family, parse_graph6, rho, tau,
 )
 from sumchoice.errors import SumChoiceError
+from sumchoice.sumnumber import BoundResult
 from sumchoice.families import (
     BrokenWheel, CartesianProduct, Complete, CompleteBipartite, Cycle, Path,
     PathOfCycles, Power, Theta, TreeOfCycles, Wheel,
@@ -53,6 +55,76 @@ def tau_checks(monkeypatch) -> list[list[tuple[int, object]]]:
     monkeypatch.setattr(sumnumber, "tau", spy_tau)
     monkeypatch.setattr(sumnumber, "is_choosable", spy_check)
     return runs
+
+
+def reference_tau(g, cap, budget=None):
+    """tau without the orbit skip, written apart from the engine: every
+    candidate of a size, in lexicographic order, is checked until the first
+    Choosable or Unknown verdict.  Returns the result and the (f, verdict)
+    pairs it checked."""
+    degs = [g.degree(v) for v in range(g.n)]
+    checked = []
+    if g.n == 0 or min(degs) < 2:
+        return BoundResult(INFINITY, None), checked
+    hi = int(min(cap, sum(degs)))
+    for total in range(2 * g.n, hi + 1):
+        for f in itertools.product(*[range(2, d + 1) for d in degs]):
+            if sum(f) != total:
+                continue
+            verdict = is_choosable(g, f, budget)
+            checked.append((f, verdict))
+            if isinstance(verdict, UnknownVerdict):
+                return BoundResult(INFINITY, None, unknown=True, lower_bound=total), checked
+            if isinstance(verdict, Choosable):
+                return BoundResult(total, f, lower_bound=total), checked
+    return BoundResult(INFINITY, None, lower_bound=hi + 1), checked
+
+
+def no_skip_tau(g, cap, budget=None):
+    return reference_tau(g, cap, budget)[0]
+
+
+def audit_tau(monkeypatch) -> list[tuple[object, list]]:
+    """Run every tau call beside reference_tau and assert that both give the
+    same result and that tau checks a subsequence of the reference's
+    candidates.  One entry per tau call: its graph and the candidates tau
+    skipped, each with the reference's verdict on it."""
+    skips: list[tuple[object, list]] = []
+    checked_by_tau: list[tuple[int, ...]] = []
+    real_tau, real_check = sumnumber.tau, sumnumber.is_choosable
+
+    def spy_check(g, f, budget=None):
+        checked_by_tau.append(tuple(f))
+        return real_check(g, f, budget)
+
+    def audited(g, cap, budget=None):
+        checked_by_tau.clear()
+        out = real_tau(g, cap, budget)
+        want, checked = reference_tau(g, cap)
+        assert out == want, (g.adj, cap)
+        seen = set(checked_by_tau)
+        assert checked_by_tau == [f for f, _ in checked if f in seen], g.adj
+        skips.append((g, [(f, v) for f, v in checked if f not in seen]))
+        return out
+
+    monkeypatch.setattr(sumnumber, "is_choosable", spy_check)
+    monkeypatch.setattr(sumnumber, "tau", audited)
+    return skips
+
+
+def assert_skips_refuted(skips) -> int:
+    """Every skipped candidate is NotChoosable by a witness of its sizes
+    that is_list_colorable rejects; returns the number of skips."""
+    for g, skipped in skips:
+        for f, verdict in skipped:
+            assert isinstance(verdict, NotChoosable), (g.adj, f)
+            assert [len(lst) for lst in verdict.witness] == list(f)
+            assert is_list_colorable(g, verdict.witness) is None, (g.adj, f)
+    return sum(len(skipped) for _, skipped in skips)
+
+
+CYCLE_TREE_SPECS = ("pathcycles:4,4", "pathcycles:4,5", "treecycles:5/1.0.4",
+                    "pathcycles:4,6", "pathcycles:4,4,4", "treecycles:4/1.0.4/1.2.4")
 
 
 class TestGreedyBound:
@@ -103,11 +175,59 @@ class TestTau:
                 if isinstance(verdict, Choosable):
                     settled.add(size)
 
-    def test_w4_node_count_is_pinned(self):
+    def test_w4_node_count_is_pinned(self, monkeypatch):
+        g = generate(Wheel(4))
         budget = Budget()
-        rec = record(generate(Wheel(4)), MemoStore(), budget)
+        with monkeypatch.context() as patch:
+            skips = audit_tau(patch)
+            rec = record(g, MemoStore(), budget)
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
-        assert budget.nodes == 4161
+        assert budget.nodes == 4127
+        # Without the orbit skip the count was 4161: the 34 nodes saved are
+        # what the checks of the skipped candidates cost.
+        skipped_nodes = sum(v.nodes for _, call in skips for _, v in call)
+        assert skipped_nodes == 34
+        no_skip = Budget()
+        monkeypatch.setattr(sumnumber, "tau", no_skip_tau)
+        assert record(g, MemoStore(), no_skip) == rec
+        assert no_skip.nodes == 4161 == budget.nodes + skipped_nodes
+
+    def test_orbit_skip_matches_no_skip_on_graphs_up_to_order_5(self, monkeypatch):
+        skips = audit_tau(monkeypatch)
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                sumnumber.tau(g, greedy_bound(g))
+        assert assert_skips_refuted(skips) > 0
+
+    def test_orbit_skip_matches_no_skip_on_the_cycle_trees(self, monkeypatch):
+        skips = audit_tau(monkeypatch)
+        for spec in CYCLE_TREE_SPECS:
+            g = generate(parse_family(spec))
+            record(g, MemoStore())
+        assert assert_skips_refuted(skips) == 6
+
+    @pytest.mark.extended
+    def test_six_vertex_census_matches_no_skip(self, monkeypatch):
+        graphs = list(enumerate_connected_graphs(6))
+        memo = MemoStore()
+        records = [record(g, memo) for g in graphs]
+        monkeypatch.setattr(sumnumber, "tau", no_skip_tau)
+        memo = MemoStore()
+        assert [record(g, memo) for g in graphs] == records
+        assert len(records) == 112
+        assert sum(not r.sc_greedy for r in records) == 36
+        assert sum(r.chi_sc for r in records) == 1584
+
+    @pytest.mark.parametrize("spec", ["complete:8", "power:cycle:12,2"])
+    def test_budget_holds_between_short_refutations(self, spec):
+        # each candidate is refuted within one sweep chunk, so only the
+        # check before each candidate sees the deadline
+        g = generate(parse_family(spec))
+        start = time.monotonic()
+        out = tau(g, 10**6, Budget.of(seconds=0.5))
+        assert time.monotonic() - start < 0.75
+        assert out.unknown and out.value == INFINITY and out.choice_function is None
+        assert 2 * g.n <= out.lower_bound <= sum(g.degree(v) for v in range(g.n))
 
     @pytest.mark.parametrize("spec, calls", [
         (Wheel(4), 22), (CompleteBipartite(2, 3), 18), (Complete(4), 11)])
