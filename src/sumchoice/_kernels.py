@@ -42,6 +42,13 @@ per set of colors that must hold the vertex, set that may and number of
 colors used.  Given the graph, the test is a function of (vertex, class
 mask) alone and the options of (vertex, key), so a lookup gives exactly
 what computing afresh would.
+
+The last vertex's options are probed in one inner loop of their own.  Its
+prefixes are full assignments and have no children, so the loop keeps no
+coloring and no class masks for them; it probes, counts and pauses exactly
+as the general step would.  The search counters live in locals while a
+chunk runs and are written back to ``SweepState.counters`` whenever ``run``
+returns, so they are exact between chunks.
 """
 
 from __future__ import annotations
@@ -254,10 +261,18 @@ class SweepState:
     are those of them held by exactly one earlier neighbour (the colors
     step 2 may take).
 
+    The last vertex is probed in one inner loop (the leaf loop) with the
+    same three steps, in the same order and with the same pause at
+    ``node_budget``.  No child reads a full assignment's coloring, so the
+    loop only decides whether one exists: it builds no coloring tuple, and
+    it skips the repair when no color of the list is held by exactly one
+    earlier neighbour, where the repair would find nothing.
+
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
     3 prefixes colored without the solver (steps 1 and 2), 4 prefixes
     colored by a repair (step 2 alone, a subset of 3).  Every node is
-    probed, so counters[0] == counters[2] + counters[3].
+    probed, so counters[0] == counters[2] + counters[3].  ``run`` keeps them
+    in locals and writes them back on every return.
     """
 
     def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int):
@@ -269,11 +284,27 @@ class SweepState:
         self.lists = [0] * m
         self.color_of = [0] * m
         # per vertex, its neighbours earlier in the order
-        self.earlier = [[u for u in range(v) if adj_masks[v] >> u & 1]
-                        for v in range(m)]
-        # per vertex v, the vertices up to v with a neighbour after v
-        self.reach = [sum(1 << u for u in range(v + 1) if adj_masks[u] >> (v + 1))
-                      for v in range(m)]
+        self.earlier = earlier = []
+        # per vertex v, the vertices up to v with a neighbour after v: u
+        # joins at v = u if it has a later neighbour and leaves at its last
+        leaving = [0] * m
+        for u, row in enumerate(adj_masks):
+            if row >> (u + 1):
+                leaving[row.bit_length() - 1] |= 1 << u
+        self.reach = reach = []
+        live = 0
+        for v, row in enumerate(adj_masks):
+            below = row & ((1 << v) - 1)
+            nbrs = []
+            while below:
+                low = below & -below
+                below ^= low
+                nbrs.append(low.bit_length() - 1)
+            earlier.append(nbrs)
+            if row >> (v + 1):
+                live |= 1 << v
+            live &= ~leaving[v]
+            reach.append(live)
         self.level = 0
         # per level, the colors of that vertex's earlier neighbours in its
         # parent prefix's coloring: set when the level is entered
@@ -300,19 +331,47 @@ class SweepState:
 
     def run(self, node_budget: int) -> int:
         """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,
-        SWEEP_WITNESS or SWEEP_PAUSED (call again to resume)."""
+        SWEEP_WITNESS or SWEEP_PAUSED (call again to resume).  The counters
+        are kept in locals and written back on every return."""
         m, adj, f, lists = self.m, self.adj, self.f, self.lists
         counters, colorings, classes = self.counters, self.colorings, self.classes
         earlier, forbidden, single = self.earlier, self.forbidden, self.single
+        color_of, last, full = self.color_of, m - 1, (1 << m) - 1
+        nodes, assignments, solves, extended, repaired = counters
         level = self.level
         nodes_here = 0
         while True:
             if level < 0:
-                self.level = level
-                return SWEEP_DONE
+                status = SWEEP_DONE
+                break
             if nodes_here >= node_budget:
-                self.level = level
-                return SWEEP_PAUSED
+                status = SWEEP_PAUSED
+                break
+            if level == last:  # the leaf loop
+                forb = forbidden[level]
+                movable = single[level]
+                for row, _ in self.options[level]:
+                    lists[level] = row
+                    nodes_here += 1
+                    nodes += 1
+                    if row & ~forb:
+                        extended += 1
+                    elif row & movable and self._repair(level, row & movable):
+                        extended += 1
+                        repaired += 1
+                    else:
+                        solves += 1
+                        if not _solve_lists(adj, lists, full, color_of):
+                            status = SWEEP_WITNESS
+                            break
+                    assignments += 1
+                    if nodes_here >= node_budget:
+                        status = SWEEP_PAUSED
+                        break
+                else:
+                    level -= 1
+                    continue
+                break
             option = next(self.options[level], None)
             if option is None:
                 level -= 1
@@ -320,28 +379,25 @@ class SweepState:
             row, u_after = option
             lists[level] = row
             nodes_here += 1
-            counters[0] += 1
+            nodes += 1
             # the parent's coloring extends if a color of the list is free
             free = row & ~forbidden[level]
             if free:
-                counters[3] += 1
+                extended += 1
                 colorings[level + 1] = colorings[level] + (free & -free,)
             # else an earlier neighbour may move off a color of the list
-            elif repaired := self._repair(level, row & single[level]):
-                counters[3] += 1
-                counters[4] += 1
-                colorings[level + 1] = repaired
+            elif moved := self._repair(level, row & single[level]):
+                extended += 1
+                repaired += 1
+                colorings[level + 1] = moved
             else:
-                counters[2] += 1
-                if not _solve_lists(adj, lists, (1 << (level + 1)) - 1, self.color_of):
+                solves += 1
+                if not _solve_lists(adj, lists, (1 << (level + 1)) - 1, color_of):
                     for j in range(level + 1, m):
                         lists[j] = (1 << f[j]) - 1
-                    self.level = level
-                    return SWEEP_WITNESS
-                colorings[level + 1] = tuple(self.color_of[:level + 1])
-            if level == m - 1:
-                counters[1] += 1
-                continue
+                    status = SWEEP_WITNESS
+                    break
+                colorings[level + 1] = tuple(color_of[:level + 1])
             bit = 1 << level
             masks = classes[level] + [0] * (u_after - len(classes[level]))
             rest = row
@@ -360,6 +416,9 @@ class SweepState:
             forbidden[level] = forb
             single[level] = forb & ~twice
             self.options[level] = self._level_options(level)
+        self.level = level
+        counters[:] = nodes, assignments, solves, extended, repaired
+        return status
 
     def _repair(self, level: int, colors: int) -> tuple[int, ...] | None:
         """The parent prefix's coloring with one earlier neighbour u of the

@@ -157,41 +157,64 @@ def reduce_size_function(g: Graph, f: Sequence[int]) -> Reduction:
     size reaches zero the instance is immediately not choosable.
 
     Reducible vertices are processed in ascending original label, so the
-    step log is deterministic.
+    step log is deterministic.  A worklist mask of the reducible vertices
+    gives that order without rescanning: a step lowers only the live degrees
+    of the stripped vertex's neighbours and, for a unit step, their sizes by
+    as much, so a reducible vertex stays reducible (or the instance dies)
+    and only those neighbours can join the mask.  Its lowest bit is thus
+    always the lowest reducible vertex.  When nothing is stripped, the
+    reduced graph is ``g`` itself.
     """
-    if len(f) != g.n:
-        raise ValueError(f"size function has {len(f)} entries for order {g.n}")
-    alive = list(range(g.n))
-    sizes = {v: int(f[v]) for v in alive}
+    n = g.n
+    if len(f) != n:
+        raise ValueError(f"size function has {len(f)} entries for order {n}")
+    adj = g.adj
+    sizes = [int(x) for x in f]
+    degree = [row.bit_count() for row in adj]  # among the live vertices
     steps: list[ReductionStep] = []
-
-    def alive_neighbors(v: int) -> list[int]:
-        return [u for u in iter_bits(g.adj[v]) if u in sizes]
-
-    dead = any(s <= 0 for s in sizes.values())
-    while not dead:
-        pick = None
-        for v in alive:
-            if v not in sizes:
-                continue
-            if sizes[v] == 1 or sizes[v] > len(alive_neighbors(v)):
-                pick = v
-                break
-        if pick is None:
-            break
-        nbrs = alive_neighbors(pick)
-        if sizes[pick] == 1:
-            steps.append(ReductionStep("unit", pick, tuple(nbrs)))
-            del sizes[pick]
-            for u in nbrs:
+    alive = (1 << n) - 1
+    dead = any(s <= 0 for s in sizes)
+    todo = 0
+    if not dead:
+        for v, s in enumerate(sizes):
+            if s == 1 or s > degree[v]:
+                todo |= 1 << v
+    while todo:
+        pick = todo & -todo
+        todo ^= pick
+        alive ^= pick
+        v = pick.bit_length() - 1
+        nbrs = adj[v] & alive
+        if sizes[v] == 1:
+            labels = []
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                u = low.bit_length() - 1
+                labels.append(u)
+                degree[u] -= 1
                 sizes[u] -= 1
                 if sizes[u] <= 0:
                     dead = True
+                elif sizes[u] == 1:
+                    todo |= low
+            steps.append(ReductionStep("unit", v, tuple(labels)))
+            if dead:
+                break
         else:
-            steps.append(ReductionStep("surplus", pick, size=sizes[pick]))
-            del sizes[pick]
+            steps.append(ReductionStep("surplus", v, size=sizes[v]))
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                u = low.bit_length() - 1
+                degree[u] -= 1
+                if sizes[u] > degree[u]:
+                    todo |= low
 
-    remaining = sorted(sizes)
+    if alive == (1 << n) - 1:
+        return Reduction(graph=g, sizes=tuple(sizes), steps=steps,
+                         vertex_map=tuple(range(n)), dead=dead)
+    remaining = [v for v in range(n) if alive >> v & 1]
     return Reduction(
         graph=induced_subgraph(g, remaining),
         sizes=tuple(sizes[v] for v in remaining),
@@ -283,17 +306,18 @@ def canonical_assignments(g: Graph, f: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _bfs_order(g: Graph, comp_mask: int) -> list[int]:
-    start = (comp_mask & -comp_mask).bit_length() - 1
-    order = [start]
-    seen = 1 << start
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for u in iter_bits(g.adj[v] & comp_mask):
-            if not seen >> u & 1:
-                seen |= 1 << u
-                order.append(u)
-                queue.append(u)
+    adj = g.adj
+    seen = comp_mask & -comp_mask
+    order = [seen.bit_length() - 1]
+    head = 0  # the order is its own queue: order[head:] is still to scan
+    while head < len(order):
+        fresh = adj[order[head]] & comp_mask & ~seen
+        head += 1
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            order.append(low.bit_length() - 1)
     return order
 
 
@@ -394,11 +418,18 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     try:
         for comp_mask in work.component_masks():
             order = _bfs_order(work, comp_mask)
-            pos = {v: i for i, v in enumerate(order)}
-            adj = [0] * len(order)
+            pos = [0] * work.n
+            for i, v in enumerate(order):
+                pos[v] = i
+            adj = []
             for v in order:
-                for u in iter_bits(work.adj[v] & comp_mask):
-                    adj[pos[v]] |= 1 << pos[u]
+                nbrs = work.adj[v] & comp_mask
+                row = 0
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    row |= 1 << pos[low.bit_length() - 1]
+                adj.append(row)
             comp_sizes = [sizes[v] for v in order]
             total = sum(comp_sizes)
             caps = []

@@ -196,6 +196,7 @@ def generate(spec: FamilySpec) -> Graph:
     if isinstance(spec, CartesianProduct):
         return cartesian_product(generate(spec.left), generate(spec.right))
     if isinstance(spec, Power):
+        _check(spec.k >= 1, "powers need an exponent of at least 1")
         return graph_power(generate(spec.base), spec.k)
     if isinstance(spec, PathOfCycles):
         _check(len(spec.lengths) >= 1, "need at least one cycle")

@@ -40,19 +40,25 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_ORDER:
-            raise CapacityError(f"graph order {self.n} outside supported range 0..{MAX_ORDER}")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows for order {self.n}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        n, adj = self.n, self.adj
+        if not 0 <= n <= MAX_ORDER:
+            raise CapacityError(f"graph order {n} outside supported range 0..{MAX_ORDER}")
+        if len(adj) != n:
+            raise ValueError(f"adjacency has {len(adj)} rows for order {n}")
+        full = (1 << n) - 1
+        bit = 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
-            if row >> v & 1:
+                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+            if row & bit:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in iter_bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            while row:
+                low = row & -row
+                row ^= low
+                if not adj[low.bit_length() - 1] & bit:
+                    raise ValueError(f"asymmetric adjacency between "
+                                     f"{low.bit_length() - 1} and {v}")
+            bit <<= 1
 
     @cached_property
     def edge_count(self) -> int:
@@ -227,15 +233,24 @@ def parse_graph6(text: str) -> Graph:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by ``vertices``, relabeled in ascending original order."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(vs)}
-    rows = [0] * len(vs)
+    n = g.n
+    keep = 0
+    index = [0] * n  # original label -> new label, read for kept vertices only
     for i, v in enumerate(vs):
-        for u in iter_bits(g.adj[v]):
-            if u in index:
-                rows[i] |= 1 << index[u]
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        keep |= 1 << v
+        index[v] = i
+    adj = g.adj
+    rows = []
+    for v in vs:
+        nbrs = adj[v] & keep
+        row = 0
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            row |= 1 << index[low.bit_length() - 1]
+        rows.append(row)
     return Graph(len(vs), tuple(rows))
 
 

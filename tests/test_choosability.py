@@ -109,6 +109,77 @@ class TestReduce:
         assert lifted == reference
 
 
+def _reference_reduce(g, f):
+    """The plain reduction the worklist one must match: after every step,
+    rescan the live vertices from the lowest label for the first reducible
+    one, counting live neighbours afresh each time."""
+    alive = list(range(g.n))
+    sizes = {v: int(f[v]) for v in alive}
+    steps = []
+
+    def alive_neighbors(v):
+        return [u for u in range(g.n) if g.adj[v] >> u & 1 and u in sizes]
+
+    dead = any(s <= 0 for s in sizes.values())
+    while not dead:
+        pick = None
+        for v in alive:
+            if v in sizes and (sizes[v] == 1 or sizes[v] > len(alive_neighbors(v))):
+                pick = v
+                break
+        if pick is None:
+            break
+        nbrs = alive_neighbors(pick)
+        if sizes[pick] == 1:
+            steps.append(choosability.ReductionStep("unit", pick, tuple(nbrs)))
+            del sizes[pick]
+            for u in nbrs:
+                sizes[u] -= 1
+                if sizes[u] <= 0:
+                    dead = True
+        else:
+            steps.append(choosability.ReductionStep("surplus", pick, size=sizes[pick]))
+            del sizes[pick]
+    remaining = sorted(sizes)
+    rows = tuple(sum(1 << i for i, u in enumerate(remaining) if g.adj[v] >> u & 1)
+                 for v in remaining)
+    return steps, tuple(sizes[v] for v in remaining), tuple(remaining), dead, rows
+
+
+def _assert_reduce_matches_rescan(g, f):
+    red = reduce_size_function(g, f)
+    got = (red.steps, red.sizes, red.vertex_map, red.dead, red.graph.adj)
+    assert got == _reference_reduce(g, f), (g.adj, f)
+    assert red.graph.n == len(red.vertex_map)
+
+
+class TestReduceMatchesRescan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_graphs_and_sizes(self, data):
+        # sizes from 0 to deg + 2, so dead instances come up too
+        n = data.draw(st.integers(min_value=0, max_value=7))
+        pairs = vertex_pairs(n)
+        g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
+        _assert_reduce_matches_rescan(g, [data.draw(st.integers(0, g.degree(v) + 2))
+                                          for v in range(n)])
+
+    def test_every_small_case_with_sizes_one_to_three(self):
+        # exhaustive on orders <= 4 with f in 1..3: many chains of unit steps
+        for n in range(1, 5):
+            pairs = vertex_pairs(n)
+            for mask in range(1 << len(pairs)):
+                g = graph_from_mask(n, mask, pairs)
+                for f in itertools.product((1, 2, 3), repeat=n):
+                    _assert_reduce_matches_rescan(g, f)
+
+    def test_nothing_stripped_returns_the_graph_itself(self):
+        g = generate(Cycle(4))
+        assert reduce_size_function(g, (2, 2, 2, 2)).graph is g
+        assert reduce_size_function(g, (0, 2, 2, 2)).graph is g
+        assert reduce_size_function(g, (1, 2, 2, 2)).graph is not g
+
+
 class TestIsChoosable:
     def test_triangle_pairs_not_choosable(self):
         verdict = is_choosable(k(3), (2, 2, 2))

@@ -170,6 +170,12 @@ class TestFamily:
         code, _, err = run(capsys, "family", "walrus:9")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("command", ["family", "chi-sc --family"])
+    def test_power_with_exponent_zero_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command.split(), "power:path:5,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestVerify:
     def test_four_vertex_passes_json_lines(self, capsys):

@@ -106,6 +106,13 @@ class TestTextForm:
         b = generate(parse_family("brokenwheel:4"))
         assert canonical_form(a) == canonical_form(b)
 
+    def test_power_with_exponent_zero_is_a_spec_error(self):
+        # parsing accepts the exponent; generating rejects it as a bad spec
+        spec = parse_family("power:path:5,0")
+        assert spec == Power(Path(5), 0)
+        with pytest.raises(FamilySpecError, match="exponent"):
+            generate(spec)
+
     @pytest.mark.parametrize("bad", [
         "nosuch:3", "wheel:", "wheel:x", "theta:1,2", "product:path:2",
         "pathcycles:", "wheel:4,5", "product:pathcycles:4,4,path:2",

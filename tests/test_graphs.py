@@ -36,6 +36,10 @@ class TestGraphBasics:
             Graph(1, (0b1,))  # self loop
         with pytest.raises(CapacityError):
             Graph(40, (0,) * 40)
+        with pytest.raises(ValueError, match="bits outside"):
+            Graph(2, (0b110, 0b001))  # a neighbour 2 in a graph of order 2
+        with pytest.raises(ValueError, match="rows for order"):
+            Graph(3, (0b10, 0b01))  # two rows for three vertices
 
     def test_edge_count_is_half_bit_total(self):
         g = k(4)
@@ -111,6 +115,27 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(k(3), [0, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graph_strategy(max_n=7), st.data())
+    def test_matches_a_dict_relabeling(self, g, data):
+        vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=9)
+                             if g.n else st.just([]))
+        vs = sorted(set(vertices))
+        index = {v: i for i, v in enumerate(vs)}
+        rows = [0] * len(vs)
+        for i, v in enumerate(vs):
+            for u in range(g.n):
+                if g.adj[v] >> u & 1 and u in index:
+                    rows[i] |= 1 << index[u]
+        got = induced_subgraph(g, vertices)
+        assert got.n == len(vs) and got.adj == tuple(rows)
+
+    def test_out_of_range_error_names_the_lowest_bad_vertex(self):
+        with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
+            induced_subgraph(k(3), [2, -1, 5])
+        with pytest.raises(ValueError, match="vertex 5 outside 0..2"):
+            induced_subgraph(k(3), [2, 5, 1])
 
 
 class TestBlocks:

@@ -450,6 +450,43 @@ def test_sweep_matches_reference_kernel(n):
                 _assert_same_search(adj, sizes, cap, 1000, 3)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_tiny_chunks_pause_inside_the_last_level(chunk, monkeypatch):
+    # chunks this small pause between the last vertex's options, which the
+    # kernel probes in one inner loop; every sweep runs to its end
+    pauses_at_last = witnesses_at_last = 0
+    real_run = SweepState.run
+
+    def spied(state, budget):
+        nonlocal pauses_at_last, witnesses_at_last
+        status = real_run(state, budget)
+        if state.level == state.m - 1:
+            pauses_at_last += status == SWEEP_PAUSED
+            witnesses_at_last += status == SWEEP_WITNESS
+        return status
+
+    monkeypatch.setattr(SweepState, "run", spied)
+    for n in range(1, 5):
+        for g in enumerate_connected_graphs(n):
+            adj, _ = _sweep_input(g)
+            degrees = [row.bit_count() for row in adj]
+            for sizes in ([2] * n, [min(3, d + 1) for d in degrees]):
+                for cap in _caps(sizes):
+                    assert _assert_same_search(adj, sizes, cap, chunk, 10_000)
+    assert pauses_at_last > 0 and witnesses_at_last > 0
+
+
+def test_witness_found_at_the_last_level():
+    # K3 with lists of two: the first two vertices always color, the third
+    # is the first uncolorable prefix
+    adj, _ = _sweep_input(generate(Complete(3)))
+    for chunk in (1, 2, 1000):
+        assert _assert_same_search(adj, [2, 2, 2], 6, chunk, 100)
+    state = SweepState(adj, [2, 2, 2], 6)
+    assert state.run(1000) == SWEEP_WITNESS and state.level == 2
+    assert state.witness_lists() == ((0, 1), (0, 1), (0, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_paused_sweep_matches_reference_kernel(data):
