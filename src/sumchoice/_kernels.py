@@ -458,8 +458,15 @@ class SweepState:
         return self.counters[1]
 
     def witness_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(c for c in range(row.bit_length()) if row >> c & 1)
-                     for row in self.lists)
+        out = []
+        for row in self.lists:
+            colors = []
+            while row:
+                low = row & -row
+                colors.append(low.bit_length() - 1)
+                row ^= low
+            out.append(tuple(colors))
+        return tuple(out)
 
 
 def solve_lists_once(adj_masks: list[int], list_masks: list[int]) -> list[int] | None:

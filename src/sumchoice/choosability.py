@@ -472,11 +472,30 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
 
 
 def _assert_witness(g: Graph, f: SizeFunction, witness: ListAssignment) -> None:
-    # internal soundness check: right sizes, genuinely uncolorable
-    bad_size = [v for v in range(g.n) if len(witness[v]) != f[v]]
+    # internal soundness check: right sizes (of distinct colors), genuinely
+    # uncolorable by a fresh solve.  Engine colors are non-negative integers
+    # below a few times the total size, so they serve as bit positions
+    # without a value index.  Each OR copies the mask, so a long list sets
+    # its bits in a bytearray and converts once, which keeps the cost linear.
+    masks = []
+    bad_size = []
+    for v in range(g.n):
+        row = witness[v]
+        if len(row) > 64:
+            bits = bytearray(max(row) // 8 + 1)
+            for c in row:
+                bits[c >> 3] |= 1 << (c & 7)
+            mask = int.from_bytes(bits, "little")
+        else:
+            mask = 0
+            for c in row:
+                mask |= 1 << c
+        if len(row) != f[v] or mask.bit_count() != f[v]:
+            bad_size.append(v)
+        masks.append(mask)
     if bad_size:
         raise AssertionError(f"witness sizes wrong at {bad_size}")
-    if is_list_colorable(g, witness) is not None:
+    if _kernels.solve_lists_once(list(g.adj), masks) is not None:
         raise AssertionError("witness assignment is colorable")
 
 

@@ -424,12 +424,12 @@ def _refine(adj: tuple[int, ...], cells: list[int], changed: list[int]) -> list[
 
 
 def _canonical_rows(adj: tuple[int, ...]) -> tuple[
-        tuple[int, ...], tuple[int, ...], list[tuple[list[int], int]]]:
+        tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """Lexicographically smallest adjacency rows over all relabelings of
     the graph with rows ``adj`` consistent with iterated refinement (exact:
     ties are fully searched), the permutation (old vertex -> new position)
     achieving them, and the automorphisms the search found, each as a
-    vertex map with the mask of the vertices it fixes.
+    vertex map.
 
     A node of the search is an ordered partition of the vertices, kept as a
     list of cell masks and refined by :func:`_refine`. The root is the
@@ -454,8 +454,10 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
     best: tuple[int, ...] | None = None
     best_perm: tuple[int, ...] = ()
     best_order: list[int] = []
-    # (automorphism as a vertex map, mask of the vertices it fixes)
-    automorphisms: list[tuple[list[int], int]] = []
+    # automorphisms as vertex maps, and beside each the mask of the
+    # vertices it fixes
+    automorphisms: list[list[int]] = []
+    fixed_by: list[int] = []
 
     def leaf(cells: list[int]) -> None:
         nonlocal best, best_perm, best_order
@@ -488,7 +490,8 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
                 gamma[v] = w
                 if v == w:
                     fixes |= 1 << v
-            automorphisms.append((gamma, fixes))
+            automorphisms.append(gamma)
+            fixed_by.append(fixes)
 
     def search(cells: list[int], changed: list[int], fixed: int) -> None:
         cells = _refine(adj, cells, changed)
@@ -510,7 +513,8 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
             low = rest & -rest
             rest ^= low
             while used < len(automorphisms):
-                gamma, fixes = automorphisms[used]
+                gamma = automorphisms[used]
+                fixes = fixed_by[used]
                 used += 1
                 if fixes & fixed == fixed:
                     if not orbit:
@@ -538,12 +542,41 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
     return best, best_perm, automorphisms
 
 
+def canonical_labeling(g: Graph) -> tuple[
+        CanonicalKey, tuple[int, ...], list[list[int]]]:
+    """One canonical labeling search: the canonical key, a permutation (old
+    vertex -> canonical position) realizing the canonical relabeling, and
+    the automorphisms the search found on its way, as vertex maps
+    (v -> gamma[v]), none the identity.
+
+    The maps generate Aut(G): the tests check their closure against an
+    exhaustive count on every connected graph of order <= 7 and on drawn
+    graphs of order <= 7.  Any order is accepted; keys are promised only up
+    to CANONICAL_MAX_ORDER, which ``canonical_form_and_permutation``
+    enforces."""
+    rows, perm, maps = _canonical_rows(g.adj)
+    return CanonicalKey(_graph6_of_rows(g.n, rows)), perm, maps
+
+
+def orbits(n: int, maps: list[list[int]]) -> list[int]:
+    """The mask of each vertex's orbit under the group that the vertex maps
+    ``maps`` on range(n) generate."""
+    orbit = [1 << v for v in range(n)]
+    for gamma in maps:
+        for v, w in enumerate(gamma):
+            if not orbit[v] >> w & 1:
+                merged = orbit[v] | orbit[w]
+                m = merged
+                while m:
+                    bit = m & -m
+                    orbit[bit.bit_length() - 1] = merged
+                    m ^= bit
+    return orbit
+
+
 def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Automorphisms of g as vertex maps (v -> gamma[v]), those the
-    canonical labeling search finds on its way; none is the identity. The
-    tests check that they generate Aut(G) against an exhaustive count, on
-    every connected graph of order <= 7 and on drawn graphs of order <= 7."""
-    return [gamma for gamma, _fixes in _canonical_rows(g.adj)[2]]
+    """The automorphisms of :func:`canonical_labeling`; any order."""
+    return canonical_labeling(g)[2]
 
 
 def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:
@@ -553,8 +586,8 @@ def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, .
         raise CapacityError(
             f"canonical labeling supports order <= {CANONICAL_MAX_ORDER}, got {g.n}"
         )
-    rows, perm, _automorphisms = _canonical_rows(g.adj)
-    return CanonicalKey(_graph6_of_rows(g.n, rows)), perm
+    key, perm, _maps = canonical_labeling(g)
+    return key, perm
 
 
 def canonical_form(g: Graph) -> CanonicalKey:

@@ -15,12 +15,18 @@ The computation uses three exact identities:
   (2 <= f(v) <= deg(v) for every v; infinity when none exists).
 
 Since rho always yields a choice function of its own size, tau only needs
-to be searched strictly below rho.  Within one size, tau skips every
-candidate f that an automorphism gamma maps onto a lexicographically
-smaller one, f o gamma: the candidates of a size come in lexicographic
-order, so f o gamma was already refuted, and f and f o gamma have the same
-verdict.  Recursion over vertex-deleted subgraphs is memoized by canonical
-key, so isomorphic subproblems are solved once.
+to be searched strictly below rho.  Both rho and tau use the automorphisms
+of G that the canonical labeling for G's memo key finds on its way, so G is
+labeled once per chi_sc call.  rho recurses into chi_sc(G - v) only for the
+lowest vertex v of each orbit: an automorphism that maps v to v' maps
+G - v onto G - v' and keeps the degree, so every vertex of an orbit gives
+the same chi_sc(G - v) + deg(v) + 1, and ties go to the lowest vertex.
+Within one size, tau skips every candidate f that an automorphism gamma
+maps onto a lexicographically smaller one, f o gamma: the candidates of a
+size come in lexicographic order, so f o gamma was already refuted, and f
+and f o gamma have the same verdict.  Recursion over vertex-deleted
+subgraphs is memoized by canonical key, so isomorphic subproblems are
+solved once.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .choosability import (
 from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
     CANONICAL_MAX_ORDER, CanonicalKey, Graph, automorphism_generators,
-    blocks, canonical_form, canonical_form_and_permutation,
-    enumerate_connected_graphs, induced_subgraph, parse_graph6,
+    blocks, canonical_form, canonical_labeling, enumerate_connected_graphs,
+    induced_subgraph, orbits, parse_graph6,
 )
 
 INFINITY = math.inf
@@ -291,7 +297,8 @@ class BoundResult:
     lower_bound: int = 0
 
 
-def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult:
+def tau(g: Graph, cap: int | float, budget: Budget | None = None,
+        generators: list[list[int]] | None = None) -> BoundResult:
     """Minimum size of a choosable size function with 2 <= f(v) <= deg(v)
     for every vertex, searched in nondecreasing total size up to ``cap``
     (lexicographic within one size).  INFINITY if none exists at <= cap or
@@ -300,15 +307,17 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult
     The candidates of one size are taken one at a time, in order, and the
     first Choosable or Unknown verdict settles the size: no later candidate
     is checked.  A candidate f is skipped, not checked, when f o gamma <lex f
-    for one of the automorphisms gamma of ``automorphism_generators(g)``,
-    where (f o gamma)(v) = f(gamma(v)).  That is exact, and it rests on the
+    for one of the automorphisms gamma of ``generators``, where
+    (f o gamma)(v) = f(gamma(v)).  That is exact, and it rests on the
     lexicographic order within a size: gamma preserves degrees, so f o gamma
     lies in the same box at the same size and came earlier, hence was
     refuted (or skipped, by the same argument); and relabeling an
     uncolorable (f o gamma)-assignment by gamma gives an uncolorable
-    f-assignment.  The automorphisms are found once, when the second
-    candidate of some size is reached; the first candidate of a size is the
-    smallest in the box and never skipped.
+    f-assignment.  ``chi_sc`` passes the automorphisms that its canonical
+    labeling of g found, so tau labels nothing.  Without them tau labels g
+    itself (``automorphism_generators``), once, when the second candidate of
+    some size is reached; the first candidate of a size is the smallest in
+    the box and never skipped.
 
     The budget is checked before every candidate, checked or skipped; once
     it runs out the result is unknown with every smaller size refuted.
@@ -318,7 +327,7 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult
         return BoundResult(INFINITY, None)
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
-    maps: list[list[int]] | None = None
+    maps = generators
     for total in range(2 * g.n, hi + 1):
         first = True
         for f in bounded_sum_vectors(lows, degs, total):
@@ -342,21 +351,36 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None) -> BoundResult
 
 
 def rho(g: Graph, memo: "MemoStore | None" = None,
-        budget: Budget | None = None) -> BoundResult:
+        budget: Budget | None = None,
+        generators: list[list[int]] | None = None) -> BoundResult:
     """min over vertices of chi_sc(G - v) + deg(v) + 1 (INFINITY when there
     are no vertices).  Ties broken by ascending vertex index.  The choice
     function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted.
+
+    Only the lowest vertex of each orbit of the group that the automorphisms
+    ``generators`` generate is visited.  That is exact: an automorphism
+    mapping v to v' maps G - v onto G - v' and keeps the degree, so v' gives
+    v's value, and with vertices taken in ascending order only a strict
+    improvement replaces the best, so v' would never replace it; it cannot
+    lower the floor below v's either.  ``chi_sc`` passes the automorphisms
+    its canonical labeling of g found; without them rho labels g itself
+    (``automorphism_generators``).
 
     Once the budget has run out, each G - v left is bounded without a
     search: chi_sc(G - v) >= |V(G - v)|, as every list holds a color.
     ChiUnknown is never memoized, so searching them would walk the subset
     lattice again below each one."""
     memo = memo if memo is not None else MemoStore()
+    if generators is None:
+        generators = automorphism_generators(g)
+    orbit = orbits(g.n, generators)
     best: int | float = INFINITY
     best_f = None
     floor: int | float = INFINITY
     any_unknown = False
     for v in range(g.n):
+        if orbit[v] & ((1 << v) - 1):
+            continue  # a lower vertex of v's orbit gave the same value
         sub = g.delete_vertex(v)
         try:
             if budget is not None:
@@ -384,10 +408,13 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
 # chi_sc
 # ---------------------------------------------------------------------------
 
-def _memo_key(g: Graph) -> tuple[CanonicalKey | None, tuple[int, ...] | None]:
+def _memo_key(g: Graph) -> tuple[CanonicalKey | None, tuple[int, ...] | None,
+                                 list[list[int]] | None]:
+    """Canonical key, permutation and automorphism generators of g, from one
+    labeling; all None above CANONICAL_MAX_ORDER."""
     if g.n > CANONICAL_MAX_ORDER:
-        return None, None  # research scale: computed but not memoized
-    return canonical_form_and_permutation(g)
+        return None, None, None  # research scale: computed but not memoized
+    return canonical_labeling(g)
 
 
 def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
@@ -443,7 +470,7 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     if g.n == 0:
         return SumChoiceRecord(0, 0, (), INFINITY, INFINITY, method="empty")
 
-    key, perm = _memo_key(g)
+    key, perm, maps = _memo_key(g)
     memo = memo if memo is not None else MemoStore()
     if key is not None:
         hit = memo.get(key)
@@ -460,7 +487,7 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     if len(blks) > 1:
         outcome = _chi_blocks(g, blks, cuts, memo, budget)
     else:
-        outcome = _chi_base(g, memo, budget)
+        outcome = _chi_base(g, memo, budget, maps)
 
     if isinstance(outcome, SumChoiceRecord):
         if outcome.chi_sc > gb:
@@ -501,9 +528,11 @@ def _chi_blocks(g, blks, cuts, memo, budget) -> ChiOutcome:
     return SumChoiceRecord(total, gb, fr, None, None, method="blocks")
 
 
-def _chi_base(g, memo, budget) -> ChiOutcome:
+def _chi_base(g, memo, budget, maps) -> ChiOutcome:
     gb = greedy_bound(g)
-    rho_res = rho(g, memo, budget)
+    if maps is None:
+        maps = automorphism_generators(g)  # not labeled for the memo key
+    rho_res = rho(g, memo, budget, maps)
     if rho_res.unknown:
         floor = rho_res.lower_bound
         if g.min_degree() >= 2:
@@ -511,7 +540,7 @@ def _chi_base(g, memo, budget) -> ChiOutcome:
         return ChiUnknown(max(g.n, floor), gb,
                           "vertex-deletion recursion hit the budget")
     rho_val = rho_res.value
-    tau_res = tau(g, rho_val - 1, budget)
+    tau_res = tau(g, rho_val - 1, budget, maps)
     if tau_res.unknown:
         lower = min(int(rho_val) if rho_val != INFINITY else gb,
                     tau_res.lower_bound)

@@ -298,6 +298,52 @@ class TestIsChoosable:
         assert isinstance(is_choosable(empty_graph(0), ()), Choosable)
 
 
+class TestAssertWitness:
+    def test_accepts_a_witness_and_rejects_wrong_sizes_and_colorable_lists(self):
+        g = k(3)
+        choosability._assert_witness(g, (2, 2, 2), ((0, 1),) * 3)
+        with pytest.raises(AssertionError, match=r"sizes wrong at \[1\]"):
+            choosability._assert_witness(g, (2, 2, 2), ((0, 1), (0,), (0, 1)))
+        # a repeated color is one color: the list is too short
+        with pytest.raises(AssertionError, match=r"sizes wrong at \[2\]"):
+            choosability._assert_witness(g, (2, 2, 2), ((0, 1), (0, 1), (1, 1)))
+        with pytest.raises(AssertionError, match="colorable"):
+            choosability._assert_witness(g, (2, 2, 2), ((0, 1), (0, 1), (0, 2)))
+
+    def test_long_lists_agree_with_is_list_colorable(self):
+        # a list above 64 colors takes the bytearray path: K4 with pairs on
+        # a triangle and a long list at the fourth vertex, colorable iff
+        # the triangle's pairs are not all the same
+        rng = random.Random(7)
+        g = k(4)
+        seen = set()
+        for _ in range(20):
+            base = rng.choice([0, 1000, 70000])
+            size = rng.choice([65, 200])
+            a, b, c = rng.sample(range(base, base + size), 3)
+            rows = ((a, b), (a, b), rng.choice([(a, b), (a, c)]),
+                    tuple(range(base, base + size)))
+            f = tuple(len(row) for row in rows)
+            colorable = is_list_colorable(g, rows) is not None
+            seen.add(colorable)
+            if colorable:
+                with pytest.raises(AssertionError, match="colorable"):
+                    choosability._assert_witness(g, f, rows)
+            else:
+                choosability._assert_witness(g, f, rows)
+            with pytest.raises(AssertionError, match=r"sizes wrong at \[3\]"):
+                choosability._assert_witness(g, f[:3] + (size + 1,), rows)
+        assert seen == {True, False}
+
+    def test_witness_of_lists_at_the_size_bound(self):
+        # 30 lists of MAX_LIST_SIZE fresh colors each, lifted from a dead
+        # reduction of K32: the check stays linear in the colors
+        sizes = (MAX_LIST_SIZE,) * 30 + (1, 1)
+        verdict = is_choosable(k(32), sizes)
+        assert isinstance(verdict, NotChoosable)
+        assert tuple(len(row) for row in verdict.witness) == sizes
+
+
 class TestVertexDeletionChecks:
     """The sweep skips assignments with a private color; the G - v checks
     must cover them."""

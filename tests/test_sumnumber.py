@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumchoice import sumnumber
+from sumchoice import graphs as graphs_module, sumnumber
 from sumchoice import (
     Budget, ChiUnknown, Choosable, INFINITY, MemoStore, NotChoosable,
     SumChoiceRecord, UnknownVerdict, canonical_form, chi_sc,
@@ -18,7 +18,7 @@ from sumchoice import (
     graph_from_edges, greedy_bound, greedy_choice_function, is_choosable,
     is_list_colorable, is_sc_greedy, parse_family, parse_graph6, rho, tau,
 )
-from sumchoice.errors import SumChoiceError
+from sumchoice.errors import SearchBudgetExceeded, SumChoiceError
 from sumchoice.sumnumber import BoundResult
 from sumchoice.families import (
     BrokenWheel, CartesianProduct, Complete, CompleteBipartite, Cycle, Path,
@@ -80,7 +80,7 @@ def reference_tau(g, cap, budget=None):
     return BoundResult(INFINITY, None, lower_bound=hi + 1), checked
 
 
-def no_skip_tau(g, cap, budget=None):
+def no_skip_tau(g, cap, budget=None, generators=None):
     return reference_tau(g, cap, budget)[0]
 
 
@@ -97,9 +97,9 @@ def audit_tau(monkeypatch) -> list[tuple[object, list]]:
         checked_by_tau.append(tuple(f))
         return real_check(g, f, budget)
 
-    def audited(g, cap, budget=None):
+    def audited(g, cap, budget=None, generators=None):
         checked_by_tau.clear()
-        out = real_tau(g, cap, budget)
+        out = real_tau(g, cap, budget, generators)
         want, checked = reference_tau(g, cap)
         assert out == want, (g.adj, cap)
         seen = set(checked_by_tau)
@@ -121,6 +121,59 @@ def assert_skips_refuted(skips) -> int:
             assert [len(lst) for lst in verdict.witness] == list(f)
             assert is_list_colorable(g, verdict.witness) is None, (g.adj, f)
     return sum(len(skipped) for _, skipped in skips)
+
+
+def reference_rho(g, memo=None, budget=None, generators=None):
+    """rho without the orbit skip, written apart from the engine: chi_sc(G -
+    v) + deg(v) + 1 for every vertex v in ascending order, the best kept on
+    a strict improvement, and a budget that ran out bounds each G - v left
+    by its order."""
+    memo = memo if memo is not None else MemoStore()
+    best, best_f, floor, any_unknown = INFINITY, None, INFINITY, False
+    for v in range(g.n):
+        sub = g.delete_vertex(v)
+        try:
+            if budget is not None:
+                budget.check()
+            out = sumnumber.chi_sc(sub, memo, budget)
+        except SearchBudgetExceeded:
+            out = ChiUnknown(sub.n, greedy_bound(sub))
+        step = g.degree(v) + 1
+        if isinstance(out, ChiUnknown):
+            any_unknown = True
+            floor = min(floor, out.lower + step)
+            continue
+        if out.chi_sc + step < best:
+            best = out.chi_sc + step
+            best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
+        floor = min(floor, out.chi_sc + step)
+    if any_unknown and best > floor:
+        return BoundResult(INFINITY, None, unknown=True,
+                           lower_bound=int(floor) if floor != INFINITY else 0)
+    return BoundResult(best, best_f)
+
+
+def every_record(graphs, every_vertex=False) -> tuple[list, list, int]:
+    """Each graph's record from an empty memo, every record stored on the
+    way (memo contents in insertion order), and the number of chi_sc calls;
+    with ``every_vertex``, rho is reference_rho."""
+    calls = [0]
+    with pytest.MonkeyPatch.context() as patch:
+        real = sumnumber.chi_sc
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        patch.setattr(sumnumber, "chi_sc", counted)
+        if every_vertex:
+            patch.setattr(sumnumber, "rho", reference_rho)
+        records, stored = [], []
+        for g in graphs:
+            memo = MemoStore()
+            records.append(record(g, memo))
+            stored.append(list(memo._data.items()))
+    return records, stored, calls[0]
 
 
 CYCLE_TREE_SPECS = ("pathcycles:4,4", "pathcycles:4,5", "treecycles:5/1.0.4",
@@ -230,9 +283,11 @@ class TestTau:
         assert 2 * g.n <= out.lower_bound <= sum(g.degree(v) for v in range(g.n))
 
     @pytest.mark.parametrize("spec, calls", [
-        (Wheel(4), 22), (CompleteBipartite(2, 3), 18), (Complete(4), 11)])
+        (Wheel(4), 11), (CompleteBipartite(2, 3), 11), (Complete(4), 5)])
     def test_chi_sc_calls_from_an_empty_memo(self, spec, calls, monkeypatch):
-        # rho lifts its best G - v record itself: no second chi_sc(G - v)
+        # rho lifts its best G - v record itself: no second chi_sc(G - v);
+        # and it calls chi_sc(G - v) for one vertex v of each Aut(G) orbit
+        # (22, 18 and 11 calls when it visited every vertex)
         seen = []
         real = sumnumber.chi_sc
 
@@ -246,6 +301,83 @@ class TestTau:
 
 
 class TestRho:
+    @pytest.mark.parametrize("which", ["order <= 5", "cycle trees"])
+    def test_orbit_skip_matches_every_vertex(self, which):
+        if which == "cycle trees":
+            graphs = [generate(parse_family(spec)) for spec in CYCLE_TREE_SPECS]
+        else:
+            graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+        records, stored, calls = every_record(graphs)
+        want, want_stored, want_calls = every_record(graphs, every_vertex=True)
+        assert records == want
+        assert stored == want_stored
+        assert calls < want_calls
+
+    @pytest.mark.extended
+    def test_six_vertex_census_matches_every_vertex(self):
+        graphs = list(enumerate_connected_graphs(6))
+        records, stored, _ = every_record(graphs)
+        assert every_record(graphs, every_vertex=True)[:2] == (records, stored)
+        assert len(records) == 112
+        assert sum(not r.sc_greedy for r in records) == 36
+        assert sum(r.chi_sc for r in records) == 1584
+
+    def test_public_rho_labels_g_itself(self, memo):
+        g = generate(Wheel(4))
+        assert rho(g, memo) == rho(g, memo, generators=[]) == reference_rho(g, memo)
+
+    @pytest.mark.parametrize("spec", [Wheel(4), CompleteBipartite(2, 3), Complete(4),
+                                      Cycle(5), PathOfCycles((4, 4, 4))])
+    def test_one_labeling_per_chi_sc_call_and_none_in_tau(self, spec, monkeypatch):
+        state = {"in_tau": False, "labelings": 0, "in_tau_labelings": 0,
+                 "lookups": 0}
+        real_rows = graphs_module._canonical_rows
+        real_chi, real_tau = sumnumber.chi_sc, sumnumber.tau
+
+        def rows(adj):
+            state["labelings"] += 1
+            state["in_tau_labelings"] += state["in_tau"]
+            return real_rows(adj)
+
+        def chi(g, *args, **kwargs):
+            # every chi_sc call on a graph of order 1..10 looks up its key
+            state["lookups"] += 0 < g.n <= sumnumber.CANONICAL_MAX_ORDER
+            return real_chi(g, *args, **kwargs)
+
+        def spy_tau(*args, **kwargs):
+            state["in_tau"] = True
+            try:
+                return real_tau(*args, **kwargs)
+            finally:
+                state["in_tau"] = False
+
+        monkeypatch.setattr(graphs_module, "_canonical_rows", rows)
+        monkeypatch.setattr(sumnumber, "chi_sc", chi)
+        monkeypatch.setattr(sumnumber, "tau", spy_tau)
+        sumnumber.chi_sc(generate(spec), MemoStore())
+        assert state["lookups"] > 1
+        assert state["labelings"] == state["lookups"]
+        assert state["in_tau_labelings"] == 0
+
+    @pytest.mark.parametrize("spec", ["wheel:4", "bipartite:2,3", "pathcycles:4,4,4"])
+    def test_node_limits_give_exact_values_or_bounds(self, spec):
+        # the orbit skip makes no chi_sc(G - v) call for an orbit mate, so a
+        # budget can no longer cut one off: a limit may now give the value
+        # where every vertex's call gave bounds
+        g = generate(parse_family(spec))
+        full = Budget()
+        want = record(g, MemoStore(), full)
+        limits = sorted({int(full.nodes * k / 40) for k in range(41)} | {1, 2, 5, 10})
+        known = 0
+        for limit in limits:
+            out = chi_sc(g, MemoStore(), Budget(node_limit=limit))
+            if isinstance(out, ChiUnknown):
+                assert out.lower <= want.chi_sc <= out.upper, (limit, out)
+            else:
+                assert out == want, limit
+                known += 1
+        assert 0 < known < len(limits)
+
     def test_k1_base_case(self, memo):
         assert rho(empty_graph(1), memo).value == 1
 
