@@ -9,6 +9,7 @@ from sumchoice import (
     CapacityError, canonical_form, canonical_form_and_permutation, empty_graph,
     encode_graph6, enumerate_connected_graphs, generate, parse_graph6,
 )
+from sumchoice import graphs
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
 from sumchoice.graphs import Graph, graph_from_edges, iter_bits
 
@@ -358,3 +359,27 @@ def test_keys_of_connected_graphs_up_to_order_7_are_pinned():
     assert len(keys) == 996
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
     assert digest == "4f1294e607f26a19"
+
+
+def test_an_automorphism_returns_the_search_to_the_common_ancestor(monkeypatch):
+    # Refinements per labeling. A search that walks the rest of a subtree
+    # after one of its leaves yields an automorphism makes 129, 175, 91 and
+    # 22: about n^2 on stars and complete graphs. Keys cannot show this.
+    calls = 0
+    refine = graphs._refine
+
+    def counting_refine(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(graphs, "_refine", counting_refine)
+    counts = {}
+    for name, g in [("K1,9", generate(CompleteBipartite(1, 9))),
+                    ("K10", generate(Complete(10))),
+                    ("K5,5", generate(CompleteBipartite(5, 5))),
+                    ("Petersen", _petersen())]:
+        calls = 0
+        canonical_form(g)
+        counts[name] = calls
+    assert counts == {"K1,9": 45, "K10": 55, "K5,5": 53, "Petersen": 15}

@@ -55,13 +55,14 @@ class TestChiSc:
         assert "chi_sc = 6" in out
 
     def test_budget_stops_the_prism(self, capsys):
-        # P3 x P3, the 3 x 3 grid: several seconds without a budget
+        # P3 x P3, the 3 x 3 grid: about 1 s without a budget on a 2-vCPU
+        # host, so a 1 s budget sometimes let it finish
         start = time.monotonic()
         code, out, _ = run(capsys, "chi-sc", "--family",
                            "product:path:3,path:3",
-                           "--budget", "1", "--json")
+                           "--budget", "0.25", "--json")
         assert code == 3 and json.loads(out)["unknown"] is True
-        assert time.monotonic() - start < 1 + 2
+        assert time.monotonic() - start < 0.25 + 2
 
     def test_budget_holds_on_a_symmetric_star(self, capsys):
         # Canonical labeling runs before any budget check; K1,9 has 9!

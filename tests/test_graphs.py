@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,6 +274,18 @@ def check_automorphism_generators(g: Graph) -> None:
     assert generated_group_order(g.n, maps) == automorphism_count(g), g.adj
 
 
+def circulant(n: int, gaps: tuple[int, ...]) -> Graph:
+    return graph_from_edges(n, [(v, (v + d) % n) for v in range(n) for d in gaps])
+
+
+def petersen() -> Graph:
+    """The Kneser graph K(5, 2): 2-subsets of range(5), adjacent when
+    disjoint."""
+    pairs = list(itertools.combinations(range(5), 2))
+    return graph_from_edges(10, [(i, j) for i, j in itertools.combinations(range(10), 2)
+                                 if not set(pairs[i]) & set(pairs[j])])
+
+
 class TestAutomorphismGenerators:
     def test_every_connected_graph_up_to_order_6(self):
         for n in range(1, 7):
@@ -292,7 +307,23 @@ class TestAutomorphismGenerators:
     @pytest.mark.parametrize("g, order", [
         (k(6), 720), (generate(Cycle(8)), 16), (generate(Wheel(6)), 12),
         (generate(CompleteBipartite(3, 4)), 144), (empty_graph(5), 120),
-        (empty_graph(0), 1)])
+        (empty_graph(0), 1),
+        # Vertex-transitive graphs of order 8-10, where refinement splits
+        # nothing at the root: Petersen, Q3, K3 x K3 (Paley(9)), K5,5 minus
+        # a perfect matching (C10(1,3)), C10(1,4) and C9(1,3).
+        (petersen(), 120),
+        (cartesian_product(cartesian_product(k(2), k(2)), k(2)), 48),
+        (cartesian_product(k(3), k(3)), 72),
+        (graph_from_edges(10, [(i, 5 + j) for i in range(5) for j in range(5) if i != j]), 240),
+        (circulant(10, (1, 4)), 320), (circulant(9, (1, 3)), 18)])
     def test_known_group_orders(self, g, order):
         assert automorphism_count(g) == order
         check_automorphism_generators(g)
+        key = canonical_form(g)
+        rng = random.Random(order)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert canonical_form(h) == key
+            check_automorphism_generators(h)
