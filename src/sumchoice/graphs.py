@@ -448,19 +448,46 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
       its remaining children. Gamma fixes the individualized vertices of
       that shared node and maps the child holding this leaf onto the
       earlier child holding the best leaf, whose subtree is explored.
-      Without this return, a star or a complete graph of order n costs
-      about n^2 refinements (K10 175 instead of 55).
+      Without this return the Petersen graph costs 22 refinements instead
+      of 15.
     - A node skips a child that an automorphism fixing the node's
       individualized vertices pointwise maps from an explored sibling.
       Each automorphism is kept with the mask of the vertices it fixes, so
       that test is one mask comparison, and a node applies each
       automorphism once, merging the orbits of its cell as vertex masks.
 
+    A cell of twins, whose members have the same row outside the cell and
+    which is a clique or an independent set, takes no search. Its members
+    a_1 < ... < a_k are individualized in one step, as the first path
+    through them would, and a_1 ... a_(k-1) go on the path, one per level.
+    The node's other children are skipped, and the transpositions
+    (a_j a_j+1) are recorded as the maps the search would have found there.
+    This is exact:
+
+    - A transposition of two twins is an automorphism that fixes every
+      other vertex, so it fixes the node, and every other child is the image
+      of the first under such maps: its leaves repeat the first child's
+      rows.
+    - A vertex outside the cell is adjacent to all of it or to none, so
+      individualizing a twin splits no other cell, and the partition stays
+      equitable without a refinement.
+    - The search would find a map below a skipped child only when the best
+      leaf lies below the first child, and then, on the level that holds
+      a_j ... a_k, exactly (a_j a_j+1), the deepest level first: the first
+      tie below a_j+1 is the image of the best leaf under that transposition.
+      It would not descend there at all when an automorphism known before
+      the node that fixes the level pointwise moves a_j. The maps recorded
+      are those, in that order, so the list is the full search's and no
+      map appears twice.
+
+    Without the twin step, K10 costs 55 refinements instead of 2, K1,9 45
+    instead of 2 and K5,5 53 instead of 10.
+
     ``best`` changes only on a strictly smaller leaf, and the first
     smallest leaf in search order is never skipped, so rows and permutation
-    are those of the full search. Each automorphism found costs one descent
-    to a leaf, so the cost grows with the number found (9 on K10), not with
-    |Aut(G)|."""
+    are those of the full search. Each automorphism found by a descent costs
+    one descent to a leaf, so the cost grows with the number found that way
+    (none on K10), not with |Aut(G)|."""
     n = len(adj)
     if n == 0:
         return (), (), []
@@ -530,6 +557,23 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
             i += 1
         cell = cells[i]
         depth = len(path)
+        # Is the cell a class of twins? It must be a clique or an independent
+        # set, which the first member's row tells as the partition is
+        # equitable, and its members' rows must agree outside the cell.
+        low = cell & -cell
+        row = adj[low.bit_length() - 1]
+        inner = (row | low) & cell
+        if inner == low or inner == cell:
+            outside = row | cell
+            rest = cell ^ low
+            while rest:
+                bit = rest & -rest
+                if adj[bit.bit_length() - 1] | cell != outside:
+                    break
+                rest ^= bit
+            else:
+                twins(cells, i, fixed)
+                return
         # Orbits of the cell under the automorphisms that fix `fixed`
         # pointwise: they fix this node, so they map the cell onto itself.
         # Built when the first of them turns up.
@@ -565,6 +609,45 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
                 return
             back = n
 
+    def twins(cells: list[int], i: int, fixed: int) -> None:
+        # Individualize the twins a_1 < ... < a_k of cells[i] in one step:
+        # the first path the search would take through them, one level each.
+        cell = cells[i]
+        depth = len(path)
+        members = []
+        rest = cell
+        while rest:
+            bit = rest & -rest
+            members.append(bit)
+            rest ^= bit
+        path.extend(members[:-1])
+        before = best
+        search(cells[:i] + members + cells[i + 1:], [], fixed | cell)
+        del path[depth:]
+        if back < depth or best is before:
+            # An automorphism sent the search above this node, or the child
+            # neither tied nor beat `best`, so neither do the skipped ones.
+            return
+        # The best leaf lies below the child. The search would find the
+        # transposition (a_j a_j+1) on the level that holds a_j..a_k, the
+        # deepest level first, unless a map that fixes the level pointwise
+        # already moves a_j. Those maps were known before this node: the
+        # child's own fix every twin.
+        moving = [fixes for fixes in fixed_by
+                  if fixes & fixed == fixed and fixes & cell != cell]
+        level = fixed | cell ^ members[-1]
+        for j in range(len(members) - 2, -1, -1):
+            a, b = members[j], members[j + 1]
+            level ^= a
+            if any(fixes & level == level and not fixes & a for fixes in moving):
+                continue
+            gamma = list(range(n))
+            u, w = a.bit_length() - 1, b.bit_length() - 1
+            gamma[u], gamma[w] = w, u
+            automorphisms.append(gamma)
+            fixed_by.append(everyone ^ a ^ b)
+
+    everyone = (1 << n) - 1
     by_degree: dict[int, int] = {}
     for v, row in enumerate(adj):
         d = row.bit_count()

@@ -228,20 +228,26 @@ class MemoStore:
         self._data[key] = record
         if not self.path:
             return
+        # json.dumps escapes every non-ASCII character, so the line is ASCII.
+        line = (json.dumps({
+            "format": _MEMO_FORMAT,
+            "canonical_graph6": key,
+            "chi_sc": record.chi_sc,
+            "gb": record.greedy_bound,
+            "optimal_f": list(record.optimal_f),
+            "rho": _encode_bound(record.rho),
+            "tau": _encode_bound(record.tau),
+        }) + "\n").encode("ascii")
         try:
             if self._torn_at is not None:
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps({
-                    "format": _MEMO_FORMAT,
-                    "canonical_graph6": key,
-                    "chi_sc": record.chi_sc,
-                    "gb": record.greedy_bound,
-                    "optimal_f": list(record.optimal_f),
-                    "rho": _encode_bound(record.rho),
-                    "tau": _encode_bound(record.tau),
-                }) + "\n")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while line:
+                    line = line[os.write(fd, line):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise SumChoiceError(f"cannot write memo file {self.path}: {exc.strerror}") from exc
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -40,3 +41,23 @@ def graph_from_mask(n: int, edge_mask: int, pairs: list[tuple[int, int]]) -> Gra
 
 def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
+
+
+def twin_rich_graph(rng: random.Random) -> Graph:
+    """A graph of order 8-10 with classes of twins: the vertices of a random
+    graph on 2 to n-1 vertices are blown up into classes, each a clique or
+    an independent set, and the result is relabeled at random."""
+    n = rng.randint(8, 10)
+    m = rng.randint(2, n - 1)
+    owner = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+    density = rng.random()
+    base = {(a, b): rng.random() < density for a in range(m) for b in range(a + 1, m)}
+    clique = [rng.random() < 0.5 for _ in range(m)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    for u, v in vertex_pairs(n):
+        a, b = sorted((owner[u], owner[v]))
+        if clique[a] if a == b else base[a, b]:
+            edges.append((perm[u], perm[v]))
+    return graph_from_edges(n, edges)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sumchoice import (
-    CapacityError, canonical_form, canonical_form_and_permutation, empty_graph,
-    encode_graph6, enumerate_connected_graphs, generate, parse_graph6,
+    CapacityError, canonical_form, canonical_form_and_permutation, cartesian_product,
+    empty_graph, encode_graph6, enumerate_connected_graphs, generate, parse_graph6,
 )
 from sumchoice import graphs
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
 from sumchoice.graphs import Graph, graph_from_edges, iter_bits
 
-from conftest import graph_from_mask, perm_orbit_min, vertex_pairs
+from conftest import graph_from_mask, perm_orbit_min, twin_rich_graph, vertex_pairs
 
 
 def _reference_refine(g: Graph, colors: list[int]) -> list[int]:
@@ -295,11 +295,14 @@ def test_symmetry_does_not_cost():
 
 @st.composite
 def graphs_of_order_8_to_10(draw) -> Graph:
-    """Dense and sparse random graphs, and circulants, which are symmetric
-    enough that the search finds automorphisms and prunes."""
+    """Dense and sparse random graphs, circulants, which are symmetric
+    enough that the search finds automorphisms and prunes, and twin-rich
+    graphs, whose cells of twins the search individualizes in one step."""
     n = draw(st.integers(min_value=8, max_value=10))
     pairs = vertex_pairs(n)
-    kind = draw(st.sampled_from(["random", "sparse", "circulant"]))
+    kind = draw(st.sampled_from(["random", "sparse", "circulant", "twins"]))
+    if kind == "twins":
+        return twin_rich_graph(draw(st.randoms(use_true_random=False)))
     if kind == "random":
         mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     elif kind == "sparse":
@@ -361,10 +364,8 @@ def test_keys_of_connected_graphs_up_to_order_7_are_pinned():
     assert digest == "4f1294e607f26a19"
 
 
-def test_an_automorphism_returns_the_search_to_the_common_ancestor(monkeypatch):
-    # Refinements per labeling. A search that walks the rest of a subtree
-    # after one of its leaves yields an automorphism makes 129, 175, 91 and
-    # 22: about n^2 on stars and complete graphs. Keys cannot show this.
+def _refinements(monkeypatch, named: list[tuple[str, Graph]]) -> dict[str, int]:
+    """``_refine`` calls that one labeling of each graph makes."""
     calls = 0
     refine = graphs._refine
 
@@ -375,11 +376,80 @@ def test_an_automorphism_returns_the_search_to_the_common_ancestor(monkeypatch):
 
     monkeypatch.setattr(graphs, "_refine", counting_refine)
     counts = {}
-    for name, g in [("K1,9", generate(CompleteBipartite(1, 9))),
-                    ("K10", generate(Complete(10))),
-                    ("K5,5", generate(CompleteBipartite(5, 5))),
-                    ("Petersen", _petersen())]:
+    for name, g in named:
         calls = 0
         canonical_form(g)
         counts[name] = calls
-    assert counts == {"K1,9": 45, "K10": 55, "K5,5": 53, "Petersen": 15}
+    return counts
+
+
+def test_an_automorphism_returns_the_search_to_the_common_ancestor(monkeypatch):
+    # Refinements per labeling, on vertex-transitive graphs without twins. A
+    # search that walks the rest of a subtree after one of its leaves yields
+    # an automorphism makes 22, 14 and 17. Keys cannot show this.
+    k2, k3 = generate(Complete(2)), generate(Complete(3))
+    counts = _refinements(monkeypatch, [
+        ("Petersen", _petersen()),
+        ("Q3", cartesian_product(cartesian_product(k2, k2), k2)),
+        ("K3xK3", cartesian_product(k3, k3))])
+    assert counts == {"Petersen": 15, "Q3": 10, "K3xK3": 12}
+
+
+def test_a_cell_of_twins_is_individualized_in_one_step(monkeypatch):
+    # Refinements per labeling. A search that branches on each twin in turn
+    # finds every transposition of two twins by its own descent, and makes
+    # 45, 55, 53 and 10.
+    counts = _refinements(monkeypatch, [
+        ("K1,9", generate(CompleteBipartite(1, 9))),
+        ("K10", generate(Complete(10))),
+        ("K5,5", generate(CompleteBipartite(5, 5))),
+        ("K2,3", generate(CompleteBipartite(2, 3)))])
+    assert counts == {"K1,9": 2, "K10": 2, "K5,5": 10, "K2,3": 3}
+
+
+def test_twins_whose_first_child_misses_the_best_leaf_add_no_map():
+    # K3,4 plus a perfect matching on its side of 4. Vertices 0 and 3 are
+    # matched twins, and with this labeling the search reaches their cell
+    # below a child of the root whose leaves are all larger than the best
+    # one. No leaf there ties the best, so the search finds no map there,
+    # and (0 3) is not among the maps.
+    g = Graph(7, (90, 45, 114, 83, 45, 86, 45))
+    assert graphs.canonical_labeling(g)[2] == [
+        [0, 1, 5, 3, 4, 2, 6], [0, 1, 2, 3, 6, 5, 4],
+        [0, 4, 2, 3, 1, 5, 6], [2, 1, 0, 5, 4, 3, 6]]
+
+
+def _labeling_sample() -> list[Graph]:
+    """Every connected graph of order <= 7 under two random relabelings, and
+    1,500 twin-rich graphs of order 8-10."""
+    rng = random.Random(29)
+    sample = []
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                sample.append(g.relabel(perm))
+    return sample + [twin_rich_graph(rng) for _ in range(1500)]
+
+
+def test_no_map_is_returned_twice():
+    # A map that the search already holds is never found again: the orbit
+    # test skips the child it would come from. The twin-rich graphs hold a
+    # few where an automorphism known before a cell of twins already swaps
+    # two of them.
+    for g in _labeling_sample():
+        maps = graphs.canonical_labeling(g)[2]
+        assert len({tuple(gamma) for gamma in maps}) == len(maps), (g.adj, maps)
+
+
+def test_automorphism_lists_are_pinned():
+    # tau skips a size function by the maps a labeling returns, so these
+    # lists decide which size functions it checks. The search without the
+    # twin step gives the same lists. Without the return to the common
+    # ancestor, or with a transposition of twins recorded where a known map
+    # already swaps them, the digest changes.
+    lists = [graphs.canonical_labeling(g)[2] for g in _labeling_sample()]
+    assert sum(map(len, lists)) == 10927
+    digest = hashlib.sha256(repr(lists).encode()).hexdigest()[:16]
+    assert digest == "ccab81137d8d782c"

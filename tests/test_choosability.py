@@ -284,12 +284,12 @@ class TestIsChoosable:
         assert verdict.progress
 
     def test_deadline_is_checked_within_a_sweep(self):
-        # the deadline falls inside the exhaustive K3,3 sweep, which runs
-        # for seconds past a million nodes; one chunk of kernel work must
+        # the deadline falls inside the sweep of K3,4 with f = 3, which runs
+        # for over 20 s and 20 million nodes; one chunk of kernel work must
         # not carry the run far past it
-        g = generate(CompleteBipartite(3, 3))
+        g = generate(CompleteBipartite(3, 4))
         t0 = time.monotonic()
-        verdict = is_choosable(g, (3,) * 6, Budget.of(seconds=0.2))
+        verdict = is_choosable(g, (3,) * 7, Budget.of(seconds=0.2))
         elapsed = time.monotonic() - t0
         assert isinstance(verdict, UnknownVerdict)
         assert elapsed < 0.2 + 0.5

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from sumchoice.families import (
 )
 from sumchoice.graphs import Graph, automorphism_generators, distances_from
 
-from conftest import graph_from_mask, vertex_pairs
+from conftest import graph_from_mask, twin_rich_graph, vertex_pairs
 
 
 def k(n):
@@ -228,9 +229,10 @@ class TestProductsAndPowers:
         assert distances_from(empty_graph(2), 0) == [0, -1]
 
 
-def automorphism_count(g: Graph) -> int:
+def automorphism_count(g: Graph, limit: float = math.inf) -> int:
     """|Aut(G)| by exhaustive search: vertex v's image ranges over every
-    unused vertex whose adjacencies to the images of 0..v-1 match v's."""
+    unused vertex whose adjacencies to the images of 0..v-1 match v's. Once
+    the count passes ``limit`` the search stops with a count above it."""
     image = [0] * g.n
 
     def extend(v: int, used: int) -> int:
@@ -242,17 +244,20 @@ def automorphism_count(g: Graph) -> int:
                     g.adj[v] >> u & 1 == g.adj[w] >> image[u] & 1 for u in range(v)):
                 image[v] = w
                 count += extend(v + 1, used | 1 << w)
+                if count > limit:
+                    break
         return count
 
     return extend(0, 0)
 
 
-def generated_group_order(n: int, maps: list[list[int]]) -> int:
-    """Order of the permutation group that ``maps`` generate."""
+def generated_group_order(n: int, maps: list[list[int]], limit: float = math.inf) -> int:
+    """Order of the permutation group that ``maps`` generate, or a number
+    above ``limit`` once the group is seen to pass it."""
     identity = tuple(range(n))
     group = {identity}
     frontier = [identity]
-    while frontier:
+    while frontier and len(group) <= limit:
         grown = []
         for p in frontier:
             for gamma in maps:
@@ -264,14 +269,18 @@ def generated_group_order(n: int, maps: list[list[int]]) -> int:
     return len(group)
 
 
-def check_automorphism_generators(g: Graph) -> None:
+def check_automorphism_generators(g: Graph, limit: float = math.inf) -> None:
+    """The maps are automorphisms, none the identity, and generate Aut(G);
+    the last is checked only when they generate at most ``limit`` maps."""
     maps = automorphism_generators(g)
     for gamma in maps:
         assert sorted(gamma) == list(range(g.n))
         assert gamma != list(range(g.n))
         for u, v in g.edges():
             assert g.has_edge(gamma[u], gamma[v]), (g.adj, gamma)
-    assert generated_group_order(g.n, maps) == automorphism_count(g), g.adj
+    order = generated_group_order(g.n, maps, limit)
+    if order <= limit:
+        assert automorphism_count(g, order) == order, g.adj
 
 
 def circulant(n: int, gaps: tuple[int, ...]) -> Graph:
@@ -315,7 +324,12 @@ class TestAutomorphismGenerators:
         (cartesian_product(cartesian_product(k(2), k(2)), k(2)), 48),
         (cartesian_product(k(3), k(3)), 72),
         (graph_from_edges(10, [(i, 5 + j) for i in range(5) for j in range(5) if i != j]), 240),
-        (circulant(10, (1, 4)), 320), (circulant(9, (1, 3)), 18)])
+        (circulant(10, (1, 4)), 320), (circulant(9, (1, 3)), 18),
+        # Made of twins: K3,3, the octahedron K2,2,2 and the star K1,5.
+        (generate(CompleteBipartite(3, 3)), 72),
+        (graph_from_edges(6, [(u, v) for u, v in itertools.combinations(range(6), 2)
+                              if u // 2 != v // 2]), 48),
+        (generate(CompleteBipartite(1, 5)), 120)])
     def test_known_group_orders(self, g, order):
         assert automorphism_count(g) == order
         check_automorphism_generators(g)
@@ -327,3 +341,8 @@ class TestAutomorphismGenerators:
             h = g.relabel(perm)
             assert canonical_form(h) == key
             check_automorphism_generators(h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_twin_rich_graphs(self, rng):
+        check_automorphism_generators(twin_rich_graph(rng), limit=2000)
