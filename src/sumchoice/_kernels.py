@@ -8,7 +8,8 @@ Conventions:
 * vertex sets are Python int bit masks, vertex v = bit v;
 * a color list is a Python int mask, color c = bit c, with no bound on the
   number of colors;
-* all sweep state lives in plain lists owned by ``SweepState``.
+* a sweep's state lives in plain lists owned by ``SweepState``, apart from
+  what two process-wide caches share between sweeps (see below).
 
 The sweep enumerates one representative per color-renaming class of list
 assignments: scanning vertices in a fixed order, a new color may enter a
@@ -37,11 +38,14 @@ color class masks, and the prune shapes the options of the next vertex:
 they are generated once per parent prefix from a per-class test of the
 classes, so the sweep never builds a prefix the prune would cut, and every
 node it counts is probed.  Sibling prefixes share most of their classes,
-so each level memoizes the test's outcome per class mask, and the options
-per set of colors that must hold the vertex, set that may and number of
-colors used.  Given the graph, the test is a function of (vertex, class
-mask) alone and the options of (vertex, key), so a lookup gives exactly
-what computing afresh would.
+and the sweeps of a process share graphs (both passes of a call, tau's
+candidates, recurring subgraphs) and option keys.  So two bounded LRU
+caches serve every sweep: ``_plan`` memoizes the test's outcome per (graph,
+vertex, class mask), and ``_option_rows`` the options per (list size,
+colors that must hold the vertex, colors that may, colors used, cap).
+Given the graph, the test is a function of (vertex, class mask) alone, so
+a lookup gives exactly what computing afresh would, whichever sweep
+filled it.
 
 The last vertex's options are probed in one inner loop of their own.  Its
 prefixes are full assignments and have no children, so the loop keeps no
@@ -53,15 +57,21 @@ returns, so they are exact between chunks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 SWEEP_DONE = 0
 SWEEP_WITNESS = 1
 SWEEP_PAUSED = 2
 
+# Bounds of the process-wide caches.  P3xP3 fills 2,976 option keys, and
+# f = 2 on the connected graphs of order <= 7 sweeps 599 graphs.
+_OPTION_ROWS_MAX = 4096
+_PLANS_MAX = 1024
 
-def _solve_lists(adj: list[int], avail: list[int], todo: int,
+
+def _solve_lists(adj: Sequence[int], avail: list[int], todo: int,
                  color_of: list[int]) -> bool:
     """Color the vertices in ``todo`` from ``avail``, writing color bits into
     ``color_of``; False if impossible.
@@ -130,14 +140,20 @@ def _options(size: int, must: int, free: list[int], u: int,
             yield fresh + must + sum(old), u + k  # distinct bits: the sum is the union
 
 
+@lru_cache(maxsize=_OPTION_ROWS_MAX)
+def _option_rows(size: int, must: int, free: int, u: int,
+                 u_cap: int) -> tuple[tuple[int, int], ...]:
+    """``_options`` with the old colors ``must`` and ``free`` as masks, in
+    one tuple that every sweep shares."""
+    return tuple(_options(size, must, [x for x in range(u) if free >> x & 1], u,
+                          u_cap))
+
+
 # outcomes of the prune's per-class test at one vertex, see ``_class_test``
 _OUT, _FREE, _MUST, _DEAD = range(4)
 
-# one vertex's options memo: (must, free, colors used) -> its option rows
-_OptionRows = dict[tuple[int, int, int], list[tuple[int, int]]]
 
-
-def _class_test(adj: list[int], v: int, reach: int, mask: int) -> int:
+def _class_test(adj: Sequence[int], v: int, reach: int, mask: int) -> int:
     """The prune's test of one old color, with class mask M = ``mask`` on the
     prefix before vertex ``v``, given that the parent prefix passed.
 
@@ -178,9 +194,9 @@ def _class_test(adj: list[int], v: int, reach: int, mask: int) -> int:
     return _MUST if may_hold else _DEAD
 
 
-def _pruned_options(adj: list[int], classes: list[int], v: int, reach: int,
-                    size: int, u_cap: int, tests: dict[int, int],
-                    rows: _OptionRows) -> Iterator[tuple[int, int]]:
+def _pruned_options(adj: Sequence[int], classes: list[int], v: int, reach: int,
+                    size: int, u_cap: int,
+                    tests: dict[int, int]) -> Iterator[tuple[int, int]]:
     """The options of vertex ``v`` whose color classes can all still end up
     connected, given the class masks of the prefix before it, which passed.
 
@@ -192,9 +208,9 @@ def _pruned_options(adj: list[int], classes: list[int], v: int, reach: int,
     them: two old-color sets of one size are ordered by the smallest color
     in only one of them, which the colors both must hold do not change.
 
-    ``tests`` (class mask -> outcome) and ``rows`` ((must, free, u) -> the
-    options) are v's memos, owned by the caller and valid for v alone; both
-    are exact, as each value is a function of its key and v."""
+    ``tests`` (class mask -> outcome) is v's memo from the graph's plan,
+    valid for v alone; it is exact, as each value is a function of its key
+    and v.  The options come from ``_option_rows``."""
     must = free = 0
     for x, mask in enumerate(classes):
         test = tests.get(mask)
@@ -207,13 +223,39 @@ def _pruned_options(adj: list[int], classes: list[int], v: int, reach: int,
         elif test == _DEAD:
             return iter(())
     u = len(classes)
-    key = (must, free, u)
-    found = rows.get(key)
-    if found is None:
-        found = rows[key] = list(_options(
-            size, must, [x for x in range(u) if free >> x & 1], u,
-            u_cap if reach >> v & 1 else u))
-    return iter(found)
+    return iter(_option_rows(size, must, free, u, u_cap if reach >> v & 1 else u))
+
+
+@lru_cache(maxsize=_PLANS_MAX)
+def _plan(adj: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...],
+                                         tuple[int, ...], list[dict[int, int]]]:
+    """What every sweep of the graph ``adj`` shares, per vertex v: its
+    earlier neighbours, the vertices up to v with a neighbour after v
+    (``reach``), and the memo of ``_class_test``'s outcome by class mask,
+    which the sweeps fill."""
+    m = len(adj)
+    earlier = []
+    # u joins ``reach`` at v = u if it has a later neighbour and leaves at
+    # its last
+    leaving = [0] * m
+    for u, row in enumerate(adj):
+        if row >> (u + 1):
+            leaving[row.bit_length() - 1] |= 1 << u
+    reach = []
+    live = 0
+    for v, row in enumerate(adj):
+        below = row & ((1 << v) - 1)
+        nbrs = []
+        while below:
+            low = below & -below
+            below ^= low
+            nbrs.append(low.bit_length() - 1)
+        earlier.append(tuple(nbrs))
+        if row >> (v + 1):
+            live |= 1 << v
+        live &= ~leaving[v]
+        reach.append(live)
+    return tuple(earlier), tuple(reach), [{} for _ in range(m)]
 
 
 class SweepState:
@@ -251,11 +293,13 @@ class SweepState:
     SWEEP_DONE then proves only the assignments with connected classes and
     no private color colorable.
 
-    Each level keeps two memos for its vertex v, filled as the sweep goes
-    and freed with the state: the per-class test's outcome by class mask M,
-    and the options by (must, free, colors used).  They are exact because
-    the test reads only ``adj``, v, ``reach[v]`` and M, and the first three
-    are fixed for the sweep, as are v's list size and color cap.  The
+    The prune reads two process-wide caches, filled as the sweeps go:
+    the graph's plan (``_plan``), which holds per vertex v the per-class
+    test's outcome by class mask M, and the option rows (``_option_rows``)
+    by (list size, must, free, colors used, cap).  They are exact because
+    the test reads only ``adj``, v, ``reach[v]`` and M, and ``reach`` is a
+    function of ``adj``, which keys the plan; so states on one graph may
+    share the plan in any interleaving.  The
     colors of v's earlier neighbours in the parent prefix's coloring are
     likewise computed once, when the level is entered, not per sibling, as
     are those of them held by exactly one earlier neighbour (the colors
@@ -278,33 +322,14 @@ class SweepState:
     def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int):
         m = len(sizes)
         self.m = m
-        self.adj = list(adj_masks)
+        self.adj = adj = tuple(adj_masks)
         self.f = list(sizes)
         self.u_cap = min(u_cap, sum(sizes))
         self.lists = [0] * m
         self.color_of = [0] * m
-        # per vertex, its neighbours earlier in the order
-        self.earlier = earlier = []
-        # per vertex v, the vertices up to v with a neighbour after v: u
-        # joins at v = u if it has a later neighbour and leaves at its last
-        leaving = [0] * m
-        for u, row in enumerate(adj_masks):
-            if row >> (u + 1):
-                leaving[row.bit_length() - 1] |= 1 << u
-        self.reach = reach = []
-        live = 0
-        for v, row in enumerate(adj_masks):
-            below = row & ((1 << v) - 1)
-            nbrs = []
-            while below:
-                low = below & -below
-                below ^= low
-                nbrs.append(low.bit_length() - 1)
-            earlier.append(nbrs)
-            if row >> (v + 1):
-                live |= 1 << v
-            live &= ~leaving[v]
-            reach.append(live)
+        # per vertex its earlier neighbours, the reach masks and the prune's
+        # memo (see _plan and _pruned_options)
+        self.earlier, self.reach, self.class_tests = _plan(adj)
         self.level = 0
         # per level, the colors of that vertex's earlier neighbours in its
         # parent prefix's coloring: set when the level is entered
@@ -317,9 +342,6 @@ class SweepState:
         self.classes: list[list[int]] = [[]] * (m + 1)
         # per level, the iterator over that vertex's remaining options
         self.options = [iter(())] * m
-        # per level, the prune's memos for that vertex (see _pruned_options)
-        self.class_tests: list[dict[int, int]] = [{} for _ in range(m)]
-        self.option_rows: list[_OptionRows] = [{} for _ in range(m)]
         if m:
             self.options[0] = self._level_options(0)
         self.counters = [0, 0, 0, 0, 0]
@@ -327,7 +349,7 @@ class SweepState:
     def _level_options(self, level: int) -> Iterator[tuple[int, int]]:
         return _pruned_options(self.adj, self.classes[level], level,
                                self.reach[level], self.f[level], self.u_cap,
-                               self.class_tests[level], self.option_rows[level])
+                               self.class_tests[level])
 
     def run(self, node_budget: int) -> int:
         """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,

@@ -14,6 +14,7 @@ NotChoosable answer carries a concrete witness assignment.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -133,6 +134,18 @@ def all_proper_colorings(g: Graph, lists: Sequence[Sequence[int]]) -> Iterator[C
 # Size-function reduction
 # ---------------------------------------------------------------------------
 
+def _size_tuple(f: Sequence[int], n: int) -> SizeFunction:
+    """``f`` as a tuple of n integers.  A size that is not an integer (a
+    float or a string, say) raises ValueError rather than being truncated."""
+    try:
+        sizes = tuple(map(operator.index, f))
+    except TypeError:
+        raise ValueError(f"list sizes must be integers: {f!r}") from None
+    if len(sizes) != n:
+        raise ValueError(f"size function has {len(sizes)} entries for order {n}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     kind: str  # "unit" (size-1 vertex) or "surplus" (size > degree)
@@ -166,10 +179,8 @@ def reduce_size_function(g: Graph, f: Sequence[int]) -> Reduction:
     reduced graph is ``g`` itself.
     """
     n = g.n
-    if len(f) != n:
-        raise ValueError(f"size function has {len(f)} entries for order {n}")
     adj = g.adj
-    sizes = [int(x) for x in f]
+    sizes = list(_size_tuple(f, n))
     degree = [row.bit_count() for row in adj]  # among the live vertices
     steps: list[ReductionStep] = []
     alive = (1 << n) - 1
@@ -358,8 +369,8 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     available, which is always enough.  A preliminary witness-hunting pass
     over a small universe (max list size + 2, an empirically good cap) may
     settle NotChoosable early but is never used to conclude Choosable.
-    A size of 0 gives NotChoosable; a negative size, or one above
-    MAX_LIST_SIZE, raises ValueError.
+    A size of 0 gives NotChoosable; a size that is not an integer, a
+    negative size, or one above MAX_LIST_SIZE raises ValueError.
 
     The sweep skips every assignment in which some vertex v holds a color
     that none of its neighbours has (a private color), and each component
@@ -372,9 +383,7 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     restricted to it, which the recursive calls prove.  Conversely a witness
     for G - v, with any list at v, is a witness for G.
     """
-    f = tuple(int(x) for x in f)
-    if len(f) != g.n:
-        raise ValueError(f"size function has {len(f)} entries for order {g.n}")
+    f = _size_tuple(f, g.n)
     if any(x < 0 for x in f):
         raise ValueError(f"negative list size in {f}")
     if any(x > MAX_LIST_SIZE for x in f):
@@ -514,9 +523,7 @@ def find_forcing_assignment(g: Graph, f: Sequence[int], vertex: int,
     colors are enumerated in restricted-growth order.  Such an assignment
     exists whenever f is a choice function with size(f) <= chi_sc + |colors| - 1.
     """
-    f = tuple(int(x) for x in f)
-    if len(f) != g.n:
-        raise ValueError(f"size function has {len(f)} entries for order {g.n}")
+    f = _size_tuple(f, g.n)
     if not colors:
         raise ValueError("need at least one target color")
     target_set = set(colors)

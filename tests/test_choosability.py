@@ -218,6 +218,29 @@ class TestIsChoosable:
         verdict = is_choosable(generate(Path(2)), (MAX_LIST_SIZE, 1))
         assert isinstance(verdict, Choosable)
 
+    @pytest.mark.parametrize("f", [(2.7, 2, 2, 2), (1.9, 2, 2, 2), ("2", 2, 2, 2),
+                                   (2, 2, 2, 2.0)])
+    def test_a_size_that_is_not_an_integer_is_rejected(self, f):
+        # truncated to int, 2.7 gave Choosable, 1.9 a witness with a 1-list,
+        # and "2" passed as a 2
+        g = generate(Cycle(4))
+        with pytest.raises(ValueError, match="integers"):
+            is_choosable(g, f)
+        with pytest.raises(ValueError, match="integers"):
+            reduce_size_function(g, f)
+        with pytest.raises(ValueError, match="integers"):
+            find_forcing_assignment(g, f, 0, [9])
+
+    def test_integer_types_are_accepted(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        g = generate(Cycle(4))
+        assert is_choosable(g, (Two(), 2, 2, True + 1)) == is_choosable(g, (2, 2, 2, 2))
+        assert reduce_size_function(g, (Two(), 1, 2, 2)).sizes == \
+            reduce_size_function(g, (2, 1, 2, 2)).sizes
+
     def test_witnesses_are_sound(self):
         rng = random.Random(99)
         found = 0

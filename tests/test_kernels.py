@@ -5,6 +5,7 @@ with its prune off and the kernel with it on, every coloring the kernel
 keeps must be proper, and the verdicts and search counts of a few fixed
 cases are pinned."""
 
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,8 @@ from sumchoice import (
 )
 from sumchoice import _kernels
 from sumchoice._kernels import (
-    SWEEP_DONE, SWEEP_PAUSED, SWEEP_WITNESS, SweepState, _options, _solve_lists,
+    _DEAD, _FREE, _MUST, SWEEP_DONE, SWEEP_PAUSED, SWEEP_WITNESS, SweepState,
+    _class_test, _options, _solve_lists,
 )
 from sumchoice.choosability import (
     _bfs_order, _run_sweep, all_proper_colorings, is_list_colorable,
@@ -487,33 +489,49 @@ def test_witness_found_at_the_last_level():
     assert state.witness_lists() == ((0, 1), (0, 1), (0, 1))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_paused_sweep_matches_reference_kernel(data):
-    n = data.draw(st.integers(min_value=2, max_value=6))
+def _drawn_sweep_input(data, max_n):
+    n = data.draw(st.integers(min_value=2, max_value=max_n))
     pairs = vertex_pairs(n)
     g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
     assume(g.is_connected())
     adj, _ = _sweep_input(g)
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    cap = data.draw(st.sampled_from(_caps(sizes)))
-    _assert_same_search(adj, sizes, cap, 700, 2)
+    return adj, sizes, data.draw(st.sampled_from(_caps(sizes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_paused_sweep_matches_reference_kernel(data):
+    _assert_same_search(*_drawn_sweep_input(data, 6), 700, 2)
+
+
+def _fresh_options(adj, v, classes, size, u_cap):
+    """v's options computed afresh, with no memo: the prune's test of each
+    class, then ``_options`` over the classes that pass."""
+    reach = sum(1 << u for u in range(v + 1) if adj[u] >> (v + 1))
+    must, free = 0, []
+    for x, mask in enumerate(classes):
+        test = _class_test(adj, v, reach, mask)
+        if test == _DEAD:
+            return []
+        if test == _MUST:
+            must |= 1 << x
+        elif test == _FREE:
+            free.append(x)
+    u = len(classes)
+    return list(_options(size, must, free, u, u_cap if reach >> v & 1 else u))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_memoized_options_equal_fresh_ones(data):
-    # one state answers every query through its memos, at several vertices
-    # and in a drawn order; a fresh state answers each from empty memos.  The
-    # class indices are few, so one mask recurs at different vertices.
-    n = data.draw(st.integers(min_value=2, max_value=7))
-    pairs = vertex_pairs(n)
-    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
-    assume(g.is_connected())
-    adj, _ = _sweep_input(g)
-    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    cap = data.draw(st.sampled_from(_caps(sizes)))
-    shared = SweepState(adj, sizes, cap)
+    # one state answers every query through the process-wide caches, at
+    # several vertices and in a drawn order; the reference computes each
+    # with no memo.  The class indices are few, so one mask recurs at
+    # different vertices.
+    adj, sizes, cap = _drawn_sweep_input(data, 7)
+    n = len(adj)
+    state = SweepState(adj, sizes, cap)
     for _ in range(data.draw(st.integers(1, 12))):
         v = data.draw(st.integers(1, n - 1))
         n_classes = data.draw(st.integers(1, 3))
@@ -522,10 +540,76 @@ def test_memoized_options_equal_fresh_ones(data):
             x = data.draw(st.integers(-1, n_classes - 1))  # -1: in no class
             if x >= 0:
                 classes[x] |= 1 << u
-        fresh = SweepState(adj, sizes, cap)
-        fresh.classes[v] = shared.classes[v] = classes
-        expected = list(fresh._level_options(v))
-        assert list(shared._level_options(v)) == expected, (adj, v, classes)
+        state.classes[v] = classes
+        expected = _fresh_options(adj, v, classes, sizes[v], min(cap, sum(sizes)))
+        assert list(state._level_options(v)) == expected, (adj, v, classes)
+
+
+def _clear_caches():
+    _kernels._plan.cache_clear()
+    _kernels._option_rows.cache_clear()
+
+
+def _interleaved(adj, runs, chunk, limit):
+    """The states of ``runs`` on one graph, run alternately in chunks from
+    empty caches until each stops or reaches ``limit`` nodes."""
+    _clear_caches()
+    states = [SweepState(adj, sizes, cap) for sizes, cap in runs]
+    status = [SWEEP_PAUSED] * len(states)
+    while any(s == SWEEP_PAUSED and state.nodes < limit
+              for s, state in zip(status, states)):
+        for i, state in enumerate(states):
+            if status[i] == SWEEP_PAUSED and state.nodes < limit:
+                status[i] = state.run(min(chunk, limit - state.nodes))
+    return [_observed(state, s) for state, s in zip(states, status)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_interleaved_sweeps_of_one_graph_match_each_alone(n):
+    # two states on one graph share its plan and the option rows; paused
+    # and resumed alternately in small chunks, each searches as it does
+    # alone, from empty caches, up to a node limit.  The pairs are the hunt
+    # and the full pass of f = 2, and the full passes of two size functions.
+    limit = 1500
+    for g in enumerate_connected_graphs(n):
+        adj, _ = _sweep_input(g)
+        mixed = [min(3, row.bit_count() + 1) for row in adj]
+        for runs in ([([2] * n, 4), ([2] * n, 2 * n)],
+                     [([2] * n, 2 * n), (mixed, sum(mixed))]):
+            alone = [_interleaved(adj, [run], limit, limit)[0] for run in runs]
+            for chunk in (1, 2, 3):
+                assert _interleaved(adj, runs, chunk, limit) == alone, (adj, runs, chunk)
+
+
+def _two_choosable_digest(monkeypatch):
+    """Every is_choosable(G, 2) over the connected graphs of order <= 7:
+    verdict, witness or assignments, nodes and each sweep's counters."""
+    states = []
+
+    class Recorded(SweepState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(_kernels, "SweepState", Recorded)
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            states.clear()
+            v = is_choosable(g, (2,) * n)
+            digest.update(repr((g.adj, type(v).__name__, getattr(v, "witness", None),
+                                getattr(v, "assignments_examined", None), v.nodes,
+                                [state.counters for state in states])).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_cold_and_warm_caches_search_alike(monkeypatch):
+    # the digest from empty caches, then from the caches that run filled;
+    # the pinned value is that of the kernel before the caches were shared
+    _clear_caches()
+    cold = _two_choosable_digest(monkeypatch)
+    assert _kernels._plan.cache_info().currsize > 0
+    assert cold == _two_choosable_digest(monkeypatch) == "faef1d0201feff8b"
 
 
 @settings(max_examples=100, deadline=None)
@@ -567,13 +651,8 @@ def test_every_kept_coloring_is_proper_at_every_step(data):
     # a repair that kept a bad coloring could let a later extension turn an
     # uncolorable prefix into an unsound Choosable, so each coloring the
     # sweep keeps is checked against the current lists after every node
-    n = data.draw(st.integers(min_value=2, max_value=7))
-    pairs = vertex_pairs(n)
-    g = graph_from_mask(n, data.draw(st.integers(0, (1 << len(pairs)) - 1)), pairs)
-    assume(g.is_connected())
-    adj, _ = _sweep_input(g)
-    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    state = SweepState(adj, sizes, data.draw(st.sampled_from(_caps(sizes))))
+    adj, sizes, cap = _drawn_sweep_input(data, 7)
+    state = SweepState(adj, sizes, cap)
     for _ in range(400):
         status = state.run(1)
         for j in range(state.level + 1):
