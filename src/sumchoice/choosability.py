@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Union
 
 from . import _kernels
 from .errors import SearchBudgetExceeded
-from .graphs import Graph, induced_subgraph, iter_bits
+from .graphs import Graph, induced_rows, induced_subgraph, iter_bits
 
 SizeFunction = tuple[int, ...]
 Coloring = tuple[int, ...]
@@ -107,19 +107,31 @@ def is_list_colorable(g: Graph, lists: Sequence[Sequence[int]]) -> Coloring | No
         return ()
     values = sorted({c for row in lists for c in row})
     index = {c: i for i, c in enumerate(values)}
-    masks = []
-    for row in lists:
-        # One bit per color index; summing the bits one by one would copy
-        # an ever longer integer at each step.
-        bits = bytearray((len(values) + 7) // 8)
-        for c in row:
-            i = index[c]
-            bits[i >> 3] |= 1 << (i & 7)
-        masks.append(int.from_bytes(bits, "little"))
+    masks = _list_masks([[index[c] for c in row] for row in lists])
     colors = _kernels.solve_lists_once(list(g.adj), masks)
     if colors is None:
         return None
     return tuple(values[c] for c in colors)
+
+
+def _list_masks(lists: Sequence[Sequence[int]]) -> list[int]:
+    """One mask per list of non-negative integers, with bit c set for each c
+    in the list.  Each OR copies the mask, so a list of more than 64 entries
+    sets its bits in a bytearray and converts once, which keeps the cost
+    linear."""
+    masks = []
+    for row in lists:
+        if len(row) > 64:
+            bits = bytearray(max(row) // 8 + 1)
+            for c in row:
+                bits[c >> 3] |= 1 << (c & 7)
+            mask = int.from_bytes(bits, "little")
+        else:
+            mask = 0
+            for c in row:
+                mask |= 1 << c
+        masks.append(mask)
+    return masks
 
 
 def all_proper_colorings(g: Graph, lists: Sequence[Sequence[int]]) -> Iterator[Coloring]:
@@ -343,7 +355,7 @@ class _SweepOutcome:
     nodes: int
 
 
-def _run_sweep(adj: list[int], sizes: list[int], u_cap: int,
+def _run_sweep(adj: Sequence[int], sizes: list[int], u_cap: int,
                budget: Budget | None, context: str) -> _SweepOutcome:
     state = _kernels.SweepState(adj, sizes, u_cap)
     while True:
@@ -388,38 +400,25 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
         raise ValueError(f"negative list size in {f}")
     if any(x > MAX_LIST_SIZE for x in f):
         raise ValueError(f"list size above {MAX_LIST_SIZE} in {f}")
-    if g.n == 0:
-        return Choosable(assignments_examined=0)
-    if 0 in f:
-        v0 = f.index(0)
-        lists = _arbitrary_lists(f)
-        lists[v0] = ()
-        return NotChoosable(witness=tuple(lists))
-
-    steps: list[ReductionStep] = []
     if reduce_first:
         red = reduce_size_function(g, f)
-        if red.dead:
-            witness = {red.vertex_map[i]: tuple(range(s)) if s > 0 else ()
-                       for i, s in enumerate(red.sizes)}
-            _lift_witness(red.steps, witness)
-            wit = tuple(witness[v] for v in range(g.n))
-            _assert_witness(g, f, wit)
-            return NotChoosable(witness=wit)
-        work, sizes, vmap, steps = red.graph, red.sizes, red.vertex_map, red.steps
     else:
-        work, sizes, vmap = g, f, tuple(range(g.n))
-
-    if work.n == 0:
-        return Choosable(assignments_examined=0)
+        red = Reduction(g, f, [], tuple(range(g.n)), dead=0 in f)
+    work, sizes, vmap, steps = red.graph, red.sizes, red.vertex_map, red.steps
 
     def not_choosable(lists: list[tuple[int, ...]], nodes: int) -> NotChoosable:
-        # lists: one per vertex of ``work``
+        # lists: one per vertex of ``work``; every NotChoosable is made here
         witness = {vmap[v]: tuple(sorted(lists[v])) for v in range(work.n)}
         _lift_witness(steps, witness)
         wit = tuple(witness[v] for v in range(g.n))
         _assert_witness(g, f, wit)
         return NotChoosable(witness=wit, nodes=nodes)
+
+    if red.dead:
+        # some size is 0, and its empty list has no color
+        return not_choosable(_arbitrary_lists(sizes), 0)
+    if work.n == 0:
+        return Choosable(assignments_examined=0)
 
     total_assignments = 0
     total_nodes = 0
@@ -427,18 +426,7 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     try:
         for comp_mask in work.component_masks():
             order = _bfs_order(work, comp_mask)
-            pos = [0] * work.n
-            for i, v in enumerate(order):
-                pos[v] = i
-            adj = []
-            for v in order:
-                nbrs = work.adj[v] & comp_mask
-                row = 0
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    row |= 1 << pos[low.bit_length() - 1]
-                adj.append(row)
+            adj = induced_rows(work.adj, order)
             comp_sizes = [sizes[v] for v in order]
             total = sum(comp_sizes)
             caps = []
@@ -484,24 +472,10 @@ def _assert_witness(g: Graph, f: SizeFunction, witness: ListAssignment) -> None:
     # internal soundness check: right sizes (of distinct colors), genuinely
     # uncolorable by a fresh solve.  Engine colors are non-negative integers
     # below a few times the total size, so they serve as bit positions
-    # without a value index.  Each OR copies the mask, so a long list sets
-    # its bits in a bytearray and converts once, which keeps the cost linear.
-    masks = []
-    bad_size = []
-    for v in range(g.n):
-        row = witness[v]
-        if len(row) > 64:
-            bits = bytearray(max(row) // 8 + 1)
-            for c in row:
-                bits[c >> 3] |= 1 << (c & 7)
-            mask = int.from_bytes(bits, "little")
-        else:
-            mask = 0
-            for c in row:
-                mask |= 1 << c
-        if len(row) != f[v] or mask.bit_count() != f[v]:
-            bad_size.append(v)
-        masks.append(mask)
+    # without a value index.
+    masks = _list_masks(witness)
+    bad_size = [v for v in range(g.n)
+                if len(witness[v]) != f[v] or masks[v].bit_count() != f[v]]
     if bad_size:
         raise AssertionError(f"witness sizes wrong at {bad_size}")
     if _kernels.solve_lists_once(list(g.adj), masks) is not None:

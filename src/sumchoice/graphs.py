@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NewType
+from typing import Iterable, Iterator, NewType, Sequence
 
 from .errors import CapacityError, GraphFormatError
 
@@ -102,30 +102,17 @@ class Graph:
         perm = tuple(perm)
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of the vertex set")
-        rows = [0] * self.n
-        for v, row in enumerate(self.adj):
-            new_row = 0
-            for u in iter_bits(row):
-                new_row |= 1 << perm[u]
-            rows[perm[v]] = new_row
-        return Graph(self.n, tuple(rows))
+        order = [0] * self.n
+        for v, p in enumerate(perm):
+            order[p] = v
+        return Graph(self.n, induced_rows(self.adj, order))
 
     def delete_vertex(self, v: int) -> "Graph":
         keep = [u for u in range(self.n) if u != v]
         return induced_subgraph(self, keep)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= self.adj[v]
-            frontier = grow & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return len(self.component_masks()) <= 1
 
     def component_masks(self) -> list[int]:
         """Vertex masks of the connected components, by smallest member."""
@@ -230,20 +217,17 @@ def parse_graph6(text: str) -> Graph:
 # Subgraphs and decomposition
 # ---------------------------------------------------------------------------
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``, relabeled in ascending original order."""
-    vs = sorted(set(vertices))
-    n = g.n
+def induced_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of the subgraph induced by the distinct vertices
+    ``order`` of the graph with rows ``adj``, vertex order[i] becoming
+    vertex i."""
     keep = 0
-    index = [0] * n  # original label -> new label, read for kept vertices only
-    for i, v in enumerate(vs):
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+    index = [0] * len(adj)  # original label -> new label, read for kept vertices only
+    for i, v in enumerate(order):
         keep |= 1 << v
         index[v] = i
-    adj = g.adj
     rows = []
-    for v in vs:
+    for v in order:
         nbrs = adj[v] & keep
         row = 0
         while nbrs:
@@ -251,7 +235,16 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             nbrs ^= low
             row |= 1 << index[low.bit_length() - 1]
         rows.append(row)
-    return Graph(len(vs), tuple(rows))
+    return tuple(rows)
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced by ``vertices``, relabeled in ascending original order."""
+    vs = sorted(set(vertices))
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    return Graph(len(vs), induced_rows(g.adj, vs))
 
 
 def blocks(g: Graph) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -507,19 +500,9 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
 
     def leaf(cells: list[int]) -> None:
         nonlocal best, best_perm, best_order, best_path, back
-        # Vertex bit -> its bit after relabeling: cells[p] goes to position p.
-        moved = {cell: 1 << pos for pos, cell in enumerate(cells)}
-        rows = []
-        for cell in cells:
-            row = adj[cell.bit_length() - 1]
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= moved[low]
-                row ^= low
-            rows.append(acc)
-        cand = tuple(rows)
+        # cells[p] is one vertex, which goes to position p
         order = [cell.bit_length() - 1 for cell in cells]
+        cand = induced_rows(adj, order)
         if best is None or cand < best:
             best = cand
             perm = [0] * n
@@ -591,14 +574,7 @@ def _canonical_rows(adj: tuple[int, ...]) -> tuple[
                 if fixes & fixed == fixed:
                     if not orbit:
                         orbit = [cell & 1 << u for u in range(n)]
-                    for u, w in enumerate(gamma):
-                        if orbit[u] and not orbit[u] >> w & 1:
-                            merged = orbit[u] | orbit[w]
-                            m = merged
-                            while m:
-                                bit = m & -m
-                                orbit[bit.bit_length() - 1] = merged
-                                m ^= bit
+                    _merge_orbits(orbit, gamma)
             if orbit and orbit[low.bit_length() - 1] & explored:
                 continue
             explored |= low
@@ -677,25 +653,27 @@ def canonical_labeling(g: Graph) -> tuple[
     return CanonicalKey(_graph6_of_rows(g.n, rows)), perm, maps
 
 
+def _merge_orbits(orbit: list[int], gamma: list[int]) -> None:
+    """Merge the orbit masks in ``orbit`` that the vertex map gamma joins.
+    A vertex whose entry is 0 is not tracked; gamma maps the tracked
+    vertices among themselves."""
+    for u, w in enumerate(gamma):
+        if orbit[u] and not orbit[u] >> w & 1:
+            merged = orbit[u] | orbit[w]
+            m = merged
+            while m:
+                bit = m & -m
+                orbit[bit.bit_length() - 1] = merged
+                m ^= bit
+
+
 def orbits(n: int, maps: list[list[int]]) -> list[int]:
     """The mask of each vertex's orbit under the group that the vertex maps
     ``maps`` on range(n) generate."""
     orbit = [1 << v for v in range(n)]
     for gamma in maps:
-        for v, w in enumerate(gamma):
-            if not orbit[v] >> w & 1:
-                merged = orbit[v] | orbit[w]
-                m = merged
-                while m:
-                    bit = m & -m
-                    orbit[bit.bit_length() - 1] = merged
-                    m ^= bit
+        _merge_orbits(orbit, gamma)
     return orbit
-
-
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """The automorphisms of :func:`canonical_labeling`; any order."""
-    return canonical_labeling(g)[2]
 
 
 def canonical_form_and_permutation(g: Graph) -> tuple[CanonicalKey, tuple[int, ...]]:

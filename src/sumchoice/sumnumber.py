@@ -43,8 +43,8 @@ from .choosability import (
 )
 from .errors import SearchBudgetExceeded, SumChoiceError
 from .graphs import (
-    CANONICAL_MAX_ORDER, CanonicalKey, Graph, automorphism_generators,
-    blocks, canonical_form, canonical_labeling, enumerate_connected_graphs,
+    CANONICAL_MAX_ORDER, CanonicalKey, Graph, blocks, canonical_form,
+    canonical_labeling, enumerate_connected_graphs,
     induced_subgraph, orbits, parse_graph6,
 )
 
@@ -320,10 +320,8 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     refuted (or skipped, by the same argument); and relabeling an
     uncolorable (f o gamma)-assignment by gamma gives an uncolorable
     f-assignment.  ``chi_sc`` passes the automorphisms that its canonical
-    labeling of g found, so tau labels nothing.  Without them tau labels g
-    itself (``automorphism_generators``), once, when the second candidate of
-    some size is reached; the first candidate of a size is the smallest in
-    the box and never skipped.
+    labeling of g found, so tau labels nothing; without them tau labels g
+    itself.
 
     The budget is checked before every candidate, checked or skipped; once
     it runs out the result is unknown with every smaller size refuted.
@@ -331,23 +329,19 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     degs = [g.degree(v) for v in range(g.n)]
     if g.n == 0 or min(degs) < 2:
         return BoundResult(INFINITY, None)
+    if generators is None:
+        generators = canonical_labeling(g)[2]
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
-    maps = generators
     for total in range(2 * g.n, hi + 1):
-        first = True
         for f in bounded_sum_vectors(lows, degs, total):
             if budget is not None:
                 try:
                     budget.check("size-function search")
                 except SearchBudgetExceeded:
                     return BoundResult(INFINITY, None, unknown=True, lower_bound=total)
-            if not first:
-                if maps is None:
-                    maps = automorphism_generators(g)
-                if any(tuple([f[w] for w in gamma]) < f for gamma in maps):
-                    continue
-            first = False
+            if any(tuple([f[w] for w in gamma]) < f for gamma in generators):
+                continue
             verdict = is_choosable(g, f, budget)
             if isinstance(verdict, UnknownVerdict):
                 return BoundResult(INFINITY, None, unknown=True, lower_bound=total)
@@ -369,8 +363,7 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
     v's value, and with vertices taken in ascending order only a strict
     improvement replaces the best, so v' would never replace it; it cannot
     lower the floor below v's either.  ``chi_sc`` passes the automorphisms
-    its canonical labeling of g found; without them rho labels g itself
-    (``automorphism_generators``).
+    its canonical labeling of g found; without them rho labels g itself.
 
     Once the budget has run out, each G - v left is bounded without a
     search: chi_sc(G - v) >= |V(G - v)|, as every list holds a color.
@@ -378,7 +371,7 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
     lattice again below each one."""
     memo = memo if memo is not None else MemoStore()
     if generators is None:
-        generators = automorphism_generators(g)
+        generators = canonical_labeling(g)[2]
     orbit = orbits(g.n, generators)
     best: int | float = INFINITY
     best_f = None
@@ -413,15 +406,6 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
 # ---------------------------------------------------------------------------
 # chi_sc
 # ---------------------------------------------------------------------------
-
-def _memo_key(g: Graph) -> tuple[CanonicalKey | None, tuple[int, ...] | None,
-                                 list[list[int]] | None]:
-    """Canonical key, permutation and automorphism generators of g, from one
-    labeling; all None above CANONICAL_MAX_ORDER."""
-    if g.n > CANONICAL_MAX_ORDER:
-        return None, None, None  # research scale: computed but not memoized
-    return canonical_labeling(g)
-
 
 def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
                             budget: Budget | None) -> None:
@@ -476,7 +460,10 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
     if g.n == 0:
         return SumChoiceRecord(0, 0, (), INFINITY, INFINITY, method="empty")
 
-    key, perm, maps = _memo_key(g)
+    if g.n > CANONICAL_MAX_ORDER:
+        key = perm = maps = None  # research scale: computed but not memoized
+    else:
+        key, perm, maps = canonical_labeling(g)
     memo = memo if memo is not None else MemoStore()
     if key is not None:
         hit = memo.get(key)
@@ -537,7 +524,7 @@ def _chi_blocks(g, blks, cuts, memo, budget) -> ChiOutcome:
 def _chi_base(g, memo, budget, maps) -> ChiOutcome:
     gb = greedy_bound(g)
     if maps is None:
-        maps = automorphism_generators(g)  # not labeled for the memo key
+        maps = canonical_labeling(g)[2]  # not labeled for the memo key
     rho_res = rho(g, memo, budget, maps)
     if rho_res.unknown:
         floor = rho_res.lower_bound

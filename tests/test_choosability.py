@@ -412,6 +412,34 @@ class TestVertexDeletionChecks:
         assert verdict.nodes == budget.nodes > own
 
 
+class TestEveryWitnessIsChecked:
+    """Each NotChoosable that is_choosable returns has passed _assert_witness
+    once, whichever path found it."""
+
+    @pytest.mark.parametrize("g, f, reduce_first, blind_order", [
+        pytest.param(generate(Path(3)), (2, 0, 2), True, None, id="size 0"),
+        pytest.param(generate(Path(3)), (2, 0, 2), False, None, id="size 0 unreduced"),
+        pytest.param(k(3), (1, 1, 2), True, None, id="dead reduction"),
+        pytest.param(k(3), (2, 2, 2), True, None, id="sweep"),
+        # every sweep of K2,5 itself is blind, as in test_witness_found_through_g_minus_v
+        pytest.param(generate(CompleteBipartite(2, 5)), (2,) * 7, True, 7, id="G - v")])
+    def test_each_path_checks_its_witness_once(self, g, f, reduce_first, blind_order,
+                                               monkeypatch):
+        TestVertexDeletionChecks.spy_sweeps(monkeypatch, blind_order)
+        checked = []
+        real = choosability._assert_witness
+
+        def spy(h, sizes, witness):
+            checked.append((h, witness))
+            real(h, sizes, witness)
+
+        monkeypatch.setattr(choosability, "_assert_witness", spy)
+        verdict = is_choosable(g, f, reduce_first=reduce_first)
+        assert isinstance(verdict, NotChoosable)
+        # a G - v witness was also checked on G - v, a graph of its own
+        assert [w for h, w in checked if h == g] == [verdict.witness]
+
+
 class TestCanonicalAssignments:
     def test_single_vertex(self):
         assert list(canonical_assignments(empty_graph(1), (1,))) == [((0,),)]

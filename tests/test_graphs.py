@@ -13,7 +13,7 @@ from sumchoice import (
 from sumchoice.families import (
     BrokenWheel, Complete, CompleteBipartite, Cycle, Path, Wheel,
 )
-from sumchoice.graphs import Graph, automorphism_generators, distances_from
+from sumchoice.graphs import Graph, canonical_labeling, distances_from, induced_rows
 
 from conftest import graph_from_mask, twin_rich_graph, vertex_pairs
 
@@ -134,6 +134,16 @@ class TestInducedSubgraph:
                     rows[i] |= 1 << index[u]
         got = induced_subgraph(g, vertices)
         assert got.n == len(vs) and got.adj == tuple(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graph_strategy(max_n=8), st.data())
+    def test_induced_rows_match_a_brute_force_relabeling(self, g, data):
+        # any distinct vertices in any order: order[i] becomes vertex i
+        order = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n)
+                          if g.n else st.just([]))
+        want = tuple(sum(1 << j for j, w in enumerate(order) if g.has_edge(v, w))
+                     for v in order)
+        assert induced_rows(g.adj, order) == want
 
     def test_out_of_range_error_names_the_lowest_bad_vertex(self):
         with pytest.raises(ValueError, match="vertex -1 outside 0..2"):
@@ -272,7 +282,7 @@ def generated_group_order(n: int, maps: list[list[int]], limit: float = math.inf
 def check_automorphism_generators(g: Graph, limit: float = math.inf) -> None:
     """The maps are automorphisms, none the identity, and generate Aut(G);
     the last is checked only when they generate at most ``limit`` maps."""
-    maps = automorphism_generators(g)
+    maps = canonical_labeling(g)[2]
     for gamma in maps:
         assert sorted(gamma) == list(range(g.n))
         assert gamma != list(range(g.n))

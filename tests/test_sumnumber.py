@@ -326,6 +326,18 @@ class TestRho:
         g = generate(Wheel(4))
         assert rho(g, memo) == rho(g, memo, generators=[]) == reference_rho(g, memo)
 
+    def test_rho_and_tau_without_maps_equal_the_calls_given_them(self):
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                maps = graphs_module.canonical_labeling(g)[2]
+                runs = []
+                for given_maps in (None, maps):
+                    budget = Budget()
+                    runs.append((rho(g, MemoStore(), budget, given_maps),
+                                 tau(g, greedy_bound(g), budget, given_maps),
+                                 budget.nodes))
+                assert runs[0] == runs[1], g.adj
+
     @pytest.mark.parametrize("spec", [Wheel(4), CompleteBipartite(2, 3), Complete(4),
                                       Cycle(5), PathOfCycles((4, 4, 4))])
     def test_one_labeling_per_chi_sc_call_and_none_in_tau(self, spec, monkeypatch):
