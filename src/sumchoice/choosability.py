@@ -158,6 +158,17 @@ def _size_tuple(f: Sequence[int], n: int) -> SizeFunction:
     return sizes
 
 
+def _checked_sizes(f: Sequence[int], n: int) -> SizeFunction:
+    """``_size_tuple`` for a size function that ``is_choosable`` accepts: no
+    size is negative or above MAX_LIST_SIZE."""
+    sizes = _size_tuple(f, n)
+    if any(x < 0 for x in sizes):
+        raise ValueError(f"negative list size in {sizes}")
+    if any(x > MAX_LIST_SIZE for x in sizes):
+        raise ValueError(f"list size above {MAX_LIST_SIZE} in {sizes}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class ReductionStep:
     kind: str  # "unit" (size-1 vertex) or "surplus" (size > degree)
@@ -247,15 +258,6 @@ def reduce_size_function(g: Graph, f: Sequence[int]) -> Reduction:
     )
 
 
-def _fresh_base(witness: dict[int, tuple[int, ...]]) -> int:
-    top = -1
-    for row in witness.values():
-        for c in row:
-            if c > top:
-                top = c
-    return top + 1
-
-
 def _lift_witness(steps: Sequence[ReductionStep],
                   witness: dict[int, tuple[int, ...]]) -> None:
     """Undo reduction steps on a witness (uncolorable) assignment, keeping it
@@ -268,7 +270,7 @@ def _lift_witness(steps: Sequence[ReductionStep],
     the rest exists to extend.  Each step's fresh colors are the ones just
     above every color in use, so the base is found once and then advanced.
     """
-    base = _fresh_base(witness)
+    base = max((c for row in witness.values() for c in row), default=-1) + 1
     for step in reversed(steps):
         if step.kind == "unit":
             witness[step.vertex] = (base,)
@@ -344,10 +346,6 @@ def _bfs_order(g: Graph, comp_mask: int) -> list[int]:
     return order
 
 
-def _arbitrary_lists(sizes: Sequence[int]) -> list[tuple[int, ...]]:
-    return [tuple(range(s)) for s in sizes]
-
-
 @dataclass
 class _SweepOutcome:
     witness: tuple[tuple[int, ...], ...] | None
@@ -392,80 +390,82 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     G - v is (Erdos, Rubin and Taylor 1979).  Hence G is f-choosable iff
     every assignment with connected color classes and no private color is
     colorable, which the sweep checks, and every G - v is choosable for f
-    restricted to it, which the recursive calls prove.  Conversely a witness
+    restricted to it, which the nested searches prove.  Conversely a witness
     for G - v, with any list at v, is a witness for G.
+
+    Whichever path finds it (a size of 0, a sweep or a G_c - v search), the
+    witness is lifted through the reduction steps to an f-assignment of G
+    and then checked once, on G: an f-assignment that no coloring fits
+    proves the verdict, whatever built it.
     """
-    f = _size_tuple(f, g.n)
-    if any(x < 0 for x in f):
-        raise ValueError(f"negative list size in {f}")
-    if any(x > MAX_LIST_SIZE for x in f):
-        raise ValueError(f"list size above {MAX_LIST_SIZE} in {f}")
+    f = _checked_sizes(f, g.n)
+    start = budget.nodes if budget is not None else 0
+    try:
+        witness, assignments, nodes = _decide(g, f, budget, reduce_first)
+    except SearchBudgetExceeded as exc:
+        return UnknownVerdict(nodes=budget.nodes - start, progress=str(exc))
+    if witness is None:
+        return Choosable(assignments_examined=assignments, nodes=nodes)
+    _assert_witness(g, f, witness)
+    return NotChoosable(witness=witness, nodes=nodes)
+
+
+def _decide(g: Graph, f: SizeFunction, budget: Budget | None,
+            reduce_first: bool = True) -> tuple[ListAssignment | None, int, int]:
+    """The search behind ``is_choosable``: (an unchecked witness or None,
+    canonical assignments examined, sweep nodes).  Raises
+    SearchBudgetExceeded when the budget runs out."""
     if reduce_first:
         red = reduce_size_function(g, f)
     else:
         red = Reduction(g, f, [], tuple(range(g.n)), dead=0 in f)
-    work, sizes, vmap, steps = red.graph, red.sizes, red.vertex_map, red.steps
-
-    def not_choosable(lists: list[tuple[int, ...]], nodes: int) -> NotChoosable:
-        # lists: one per vertex of ``work``; every NotChoosable is made here
-        witness = {vmap[v]: tuple(sorted(lists[v])) for v in range(work.n)}
-        _lift_witness(steps, witness)
-        wit = tuple(witness[v] for v in range(g.n))
-        _assert_witness(g, f, wit)
-        return NotChoosable(witness=wit, nodes=nodes)
-
-    if red.dead:
-        # some size is 0, and its empty list has no color
-        return not_choosable(_arbitrary_lists(sizes), 0)
-    if work.n == 0:
-        return Choosable(assignments_examined=0)
-
-    total_assignments = 0
-    total_nodes = 0
-    budget_nodes_start = budget.nodes if budget is not None else 0
-    try:
-        for comp_mask in work.component_masks():
-            order = _bfs_order(work, comp_mask)
-            adj = induced_rows(work.adj, order)
-            comp_sizes = [sizes[v] for v in order]
-            total = sum(comp_sizes)
-            caps = []
-            if max(comp_sizes) + 2 < total:
-                caps.append(max(comp_sizes) + 2)
-            caps.append(total)
-            for cap in caps:
-                out = _run_sweep(adj, comp_sizes, cap, budget=budget,
-                                 context=f"choosability sweep (cap {cap})")
-                total_nodes += out.nodes
-                if out.witness is not None:
-                    lists = _arbitrary_lists(sizes)
-                    for i, row in enumerate(out.witness):
-                        lists[order[i]] = row
-                    return not_choosable(lists, total_nodes)
-                if cap == total:
-                    total_assignments += out.assignments
+    work, sizes = red.graph, red.sizes
+    # a witness on part of ``work``; a size of 0 has an empty list, no color
+    found: dict[int, tuple[int, ...]] | None = {} if red.dead else None
+    assignments = nodes = 0
+    for comp_mask in [] if red.dead else work.component_masks():
+        order = _bfs_order(work, comp_mask)
+        adj = induced_rows(work.adj, order)
+        comp_sizes = [sizes[v] for v in order]
+        total = sum(comp_sizes)
+        caps = []
+        if max(comp_sizes) + 2 < total:
+            caps.append(max(comp_sizes) + 2)
+        caps.append(total)
+        for cap in caps:
+            out = _run_sweep(adj, comp_sizes, cap, budget=budget,
+                             context=f"choosability sweep (cap {cap})")
+            nodes += out.nodes
+            if out.witness is not None:
+                found = dict(zip(order, out.witness))
+                break
+            if cap == total:
+                assignments += out.assignments
+        else:
             # the sweep skipped assignments with a private color: check G_c - v
             for v in order:
                 rest = [u for u in iter_bits(comp_mask) if u != v]
-                sub = is_choosable(induced_subgraph(work, rest),
-                                   [sizes[u] for u in rest], budget)
-                if isinstance(sub, UnknownVerdict):
-                    raise SearchBudgetExceeded(sub.progress)
-                total_nodes += sub.nodes
-                if isinstance(sub, NotChoosable):
-                    lists = _arbitrary_lists(sizes)
-                    for i, u in enumerate(rest):
-                        lists[u] = sub.witness[i]
-                    base = _fresh_base(dict(enumerate(sub.witness)))
-                    lists[v] = tuple(range(base, base + sizes[v]))
-                    return not_choosable(lists, total_nodes)
-                total_assignments += sub.assignments_examined
+                sub, sub_assignments, sub_nodes = _decide(
+                    induced_subgraph(work, rest), tuple(sizes[u] for u in rest), budget)
+                nodes += sub_nodes
+                if sub is not None:
+                    # v returns as a surplus vertex, with fresh colors just
+                    # above those of the G_c - v witness
+                    found = dict(zip(rest, sub))
+                    _lift_witness([ReductionStep("surplus", v, size=sizes[v])], found)
+                    break
+                assignments += sub_assignments
                 if budget is not None:
                     budget.check("choosability checks of G - v")
-    except SearchBudgetExceeded as exc:
-        used = budget.nodes - budget_nodes_start if budget is not None else 0
-        return UnknownVerdict(nodes=used, progress=str(exc))
-    return Choosable(assignments_examined=total_assignments, nodes=total_nodes)
+        if found is not None:
+            break
+    if found is None:
+        return None, assignments, nodes
+    # the other vertices of ``work`` keep arbitrary lists
+    witness = {red.vertex_map[v]: tuple(sorted(found[v])) if v in found
+               else tuple(range(s)) for v, s in enumerate(sizes)}
+    _lift_witness(red.steps, witness)
+    return tuple(witness[v] for v in range(g.n)), assignments, nodes
 
 
 def _assert_witness(g: Graph, f: SizeFunction, witness: ListAssignment) -> None:

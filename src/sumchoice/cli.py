@@ -14,7 +14,7 @@ import sys
 import time
 
 from .choosability import (
-    MAX_LIST_SIZE, Budget, Choosable, UnknownVerdict, is_choosable,
+    Budget, Choosable, UnknownVerdict, _checked_sizes, is_choosable,
 )
 from .errors import SumChoiceError
 from .families import format_family, generate, parse_family
@@ -90,17 +90,9 @@ def cmd_chi_sc(args) -> int:
 def cmd_choosable(args) -> int:
     g = _resolve_graph(args)
     try:
-        sizes = tuple(int(x) for x in args.sizes.split(","))
+        sizes = _checked_sizes([int(x) for x in args.sizes.split(",")], g.n)
     except ValueError as exc:
-        raise SumChoiceError(f"bad --sizes value: {exc}") from exc
-    if len(sizes) != g.n:
-        raise SumChoiceError(
-            f"--sizes has {len(sizes)} entries for a graph of order {g.n}")
-    if any(x < 0 for x in sizes):
-        raise SumChoiceError(f"--sizes has a negative entry: {args.sizes}")
-    if any(x > MAX_LIST_SIZE for x in sizes):
-        raise SumChoiceError(
-            f"--sizes has an entry above {MAX_LIST_SIZE}: {args.sizes}")
+        raise SumChoiceError(f"--sizes: {exc}") from exc
     budget = Budget.of(seconds=args.budget)
     verdict = is_choosable(g, sizes, budget)
     if isinstance(verdict, UnknownVerdict):

@@ -397,9 +397,8 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
                 best = out.chi_sc + step
                 best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
             floor = min(floor, out.chi_sc + step)
-    if any_unknown and best > floor:
-        return BoundResult(INFINITY, None, unknown=True,
-                           lower_bound=int(floor) if floor != INFINITY else 0)
+    if any_unknown and best > floor:  # floor is finite once a vertex is unknown
+        return BoundResult(INFINITY, None, unknown=True, lower_bound=floor)
     return BoundResult(best, best_f)
 
 
@@ -408,16 +407,18 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
 # ---------------------------------------------------------------------------
 
 def _verify_choice_function(g: Graph, f: SizeFunction, chi: int,
-                            budget: Budget | None) -> None:
+                            budget: Budget | None) -> ChiUnknown | None:
+    """None once f, of size chi, is proved choosable; ChiUnknown(chi, chi)
+    when the budget runs out first."""
     if sum(f) != chi:
         raise AssertionError(f"optimal size function sums to {sum(f)}, not {chi}")
     verdict = is_choosable(g, f, budget)
     if isinstance(verdict, UnknownVerdict):
-        raise SearchBudgetExceeded(
-            f"budget ran out while re-verifying an optimal size function: "
-            f"{verdict.progress}")
+        return ChiUnknown(chi, chi, f"value certified, optimal size function "
+                          f"unverified: {verdict.progress}")
     if not isinstance(verdict, Choosable):
         raise AssertionError("optimal size function failed re-verification")
+    return None
 
 
 def _check_memo_record(key: CanonicalKey, rec: SumChoiceRecord, memo: MemoStore,
@@ -471,10 +472,7 @@ def chi_sc(g: Graph, memo: MemoStore | None = None,
             unknown = memo.check_first_hit(key, hit, budget)
             if unknown is not None:
                 return unknown
-            inverse = [0] * g.n
-            for v, p in enumerate(perm):
-                inverse[p] = v
-            return hit.relabeled(inverse)
+            return replace(hit, optimal_f=tuple(hit.optimal_f[p] for p in perm))
 
     blks, cuts = blocks(g) if use_blocks else ([tuple(range(g.n))], ())
     if len(blks) > 1:
@@ -512,13 +510,10 @@ def _chi_blocks(g, blks, cuts, memo, budget) -> ChiOutcome:
         return ChiUnknown(total, greedy_bound(g), "block computation hit the budget")
     fr = tuple(f)
     if cuts:
-        try:
-            _verify_choice_function(g, fr, total, budget)
-        except SearchBudgetExceeded as exc:
-            return ChiUnknown(total, total, f"value certified, combined size "
-                              f"function unverified: {exc}")
-    gb = greedy_bound(g)
-    return SumChoiceRecord(total, gb, fr, None, None, method="blocks")
+        unknown = _verify_choice_function(g, fr, total, budget)
+        if unknown is not None:
+            return unknown
+    return SumChoiceRecord(total, greedy_bound(g), fr, None, None, method="blocks")
 
 
 def _chi_base(g, memo, budget, maps) -> ChiOutcome:
@@ -532,13 +527,11 @@ def _chi_base(g, memo, budget, maps) -> ChiOutcome:
             floor = min(floor, 2 * g.n)  # a non-simple choice function may exist
         return ChiUnknown(max(g.n, floor), gb,
                           "vertex-deletion recursion hit the budget")
-    rho_val = rho_res.value
+    rho_val = rho_res.value  # finite: g has a vertex, and rho visits vertex 0
     tau_res = tau(g, rho_val - 1, budget, maps)
     if tau_res.unknown:
-        lower = min(int(rho_val) if rho_val != INFINITY else gb,
-                    tau_res.lower_bound)
-        upper = int(rho_val) if rho_val != INFINITY else gb
-        return ChiUnknown(lower, upper, "size-function search hit the budget")
+        return ChiUnknown(min(rho_val, tau_res.lower_bound), rho_val,
+                          "size-function search hit the budget")
     chi = int(min(rho_val, tau_res.value))
     if tau_res.value < rho_val:
         f = tau_res.choice_function
@@ -548,11 +541,9 @@ def _chi_base(g, memo, budget, maps) -> ChiOutcome:
         # below 2; otherwise the capped search only proves tau >= rho
         tau_field = INFINITY if g.min_degree() < 2 else None
         f = rho_res.choice_function
-        try:
-            _verify_choice_function(g, f, chi, budget)
-        except SearchBudgetExceeded as exc:
-            return ChiUnknown(chi, chi, f"value certified, lifted size function "
-                              f"unverified: {exc}")
+        unknown = _verify_choice_function(g, f, chi, budget)
+        if unknown is not None:
+            return unknown
     return SumChoiceRecord(chi, gb, f, rho_val, tau_field,
                            method="rho-tau")
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -13,6 +14,7 @@ from sumchoice import (
 from sumchoice import choosability
 from sumchoice.choosability import MAX_LIST_SIZE, all_proper_colorings
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Path, Wheel
+from sumchoice.graphs import canonical_form, parse_graph6
 
 from conftest import graph_from_mask, vertex_pairs
 
@@ -411,6 +413,27 @@ class TestVertexDeletionChecks:
         assert isinstance(verdict, UnknownVerdict)
         assert verdict.nodes == budget.nodes > own
 
+    def test_budget_runs_out_inside_a_g_minus_v_sweep(self, monkeypatch):
+        # K2,3's own two sweeps finish within the limit; the first G - v
+        # check, a 4-cycle, runs out in its cap-4 sweep
+        g = parse_graph6("DFw")
+        assert canonical_form(generate(CompleteBipartite(2, 3))) == "DFw"
+        started = []
+        real = choosability._run_sweep
+
+        def sweep(adj, sizes, *args, **kwargs):
+            started.append(len(sizes))
+            return real(adj, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(choosability, "_run_sweep", sweep)
+        monkeypatch.setattr(choosability, "CHUNK_NODES", 1)
+        budget = Budget(node_limit=368)
+        verdict = is_choosable(g, (2,) * 5, budget)
+        assert verdict == UnknownVerdict(
+            nodes=369, progress="node limit 368 exceeded in choosability sweep (cap 4)")
+        assert verdict.nodes == budget.nodes
+        assert started == [5, 5, 4]
+
 
 class TestEveryWitnessIsChecked:
     """Each NotChoosable that is_choosable returns has passed _assert_witness
@@ -436,8 +459,35 @@ class TestEveryWitnessIsChecked:
         monkeypatch.setattr(choosability, "_assert_witness", spy)
         verdict = is_choosable(g, f, reduce_first=reduce_first)
         assert isinstance(verdict, NotChoosable)
-        # a G - v witness was also checked on G - v, a graph of its own
+        # a G - v witness is lifted to G before its one check, like the others
         assert [w for h, w in checked if h == g] == [verdict.witness]
+
+    def test_every_witness_path_searches_as_pinned(self, monkeypatch):
+        # verdicts, witnesses, counts and budget nodes of drawn calls on both
+        # reduce_first paths, and of the G - v witness of K2,5 with f = 2; the
+        # pinned value is that of the search when each G - v check was an
+        # is_choosable call of its own
+        digest = hashlib.sha256()
+
+        def record(g, f, reduce_first):
+            budget = Budget(node_limit=20000)
+            v = is_choosable(g, f, budget, reduce_first=reduce_first)
+            digest.update(repr((g.adj, f, reduce_first, type(v).__name__,
+                                getattr(v, "witness", None),
+                                getattr(v, "assignments_examined", None), v.nodes,
+                                getattr(v, "progress", None), budget.nodes)).encode())
+
+        rng = random.Random(3241)
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            pairs = vertex_pairs(n)
+            g = graph_from_mask(n, rng.getrandbits(len(pairs)), pairs)
+            f = tuple(rng.randint(0, 4) for _ in range(n))
+            for reduce_first in (True, False):
+                record(g, f, reduce_first)
+        TestVertexDeletionChecks.spy_sweeps(monkeypatch, blind_order=7)
+        record(generate(CompleteBipartite(2, 5)), (2,) * 7, True)
+        assert digest.hexdigest()[:16] == "c3263833187265a3"
 
 
 class TestCanonicalAssignments:
