@@ -47,6 +47,17 @@ Given the graph, the test is a function of (vertex, class mask) alone, so
 a lookup gives exactly what computing afresh would, whichever sweep
 filled it.
 
+A full pass that follows a finished witness hunt skips what the hunt
+proved.  The hunt with color cap h searches exactly the part of the full
+pass's tree whose nodes use at most h colors, since the options come in
+the same order and the cap only ends them sooner.  Below vertex v only
+the later vertices with a later neighbour can add fresh colors, at most
+their sizes.  So an option of v whose colors used plus those sizes are at
+most h spans a subtree inside the hunt's tree, whose every prefix the
+hunt probed colorable, and the full pass leaves it out.  Witnesses are
+unchanged, as the first uncolorable prefix lies outside every such
+subtree.
+
 The last vertex's options are probed in one inner loop of their own.  Its
 prefixes are full assignments and have no children, so the loop keeps no
 coloring and no class masks for them; it probes, counts and pauses exactly
@@ -57,8 +68,10 @@ returns, so they are exact between chunks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 SWEEP_DONE = 0
@@ -195,8 +208,8 @@ def _class_test(adj: Sequence[int], v: int, reach: int, mask: int) -> int:
 
 
 def _pruned_options(adj: Sequence[int], classes: list[int], v: int, reach: int,
-                    size: int, u_cap: int,
-                    tests: dict[int, int]) -> Iterator[tuple[int, int]]:
+                    size: int, u_cap: int, tests: dict[int, int],
+                    covered: int) -> Iterator[tuple[int, int]]:
     """The options of vertex ``v`` whose color classes can all still end up
     connected, given the class masks of the prefix before it, which passed.
 
@@ -210,7 +223,9 @@ def _pruned_options(adj: Sequence[int], classes: list[int], v: int, reach: int,
 
     ``tests`` (class mask -> outcome) is v's memo from the graph's plan,
     valid for v alone; it is exact, as each value is a function of its key
-    and v.  The options come from ``_option_rows``."""
+    and v.  The options come from ``_option_rows``, which orders them by
+    colors used after them ascending; those using at most ``covered``
+    colors are a prefix of the rows, and they are left out."""
     must = free = 0
     for x, mask in enumerate(classes):
         test = tests.get(mask)
@@ -223,7 +238,10 @@ def _pruned_options(adj: Sequence[int], classes: list[int], v: int, reach: int,
         elif test == _DEAD:
             return iter(())
     u = len(classes)
-    return iter(_option_rows(size, must, free, u, u_cap if reach >> v & 1 else u))
+    rows = _option_rows(size, must, free, u, u_cap if reach >> v & 1 else u)
+    if covered >= u:  # every option uses at least u colors
+        rows = rows[bisect_right(rows, covered, key=itemgetter(1)):]
+    return iter(rows)
 
 
 @lru_cache(maxsize=_PLANS_MAX)
@@ -312,19 +330,37 @@ class SweepState:
     it skips the repair when no color of the list is held by exactly one
     earlier neighbour, where the repair would find nothing.
 
+    ``hunted`` is the color cap of a witness hunt on the same graph and
+    sizes that ended SWEEP_DONE (0: none).  The options of vertex v that
+    use at most ``covered[v]`` colors, ``hunted`` minus the sizes of the
+    later vertices with a later neighbour, are then left out, as their
+    subtrees lie inside the hunt's finished tree (see the module
+    docstring).  They are a prefix of v's option rows.
+
     counters: 0 nodes, 1 full assignments examined, 2 solver calls,
     3 prefixes colored without the solver (steps 1 and 2), 4 prefixes
     colored by a repair (step 2 alone, a subset of 3).  Every node is
-    probed, so counters[0] == counters[2] + counters[3].  ``run`` keeps them
-    in locals and writes them back on every return.
+    probed, so counters[0] == counters[2] + counters[3].  A pass with
+    ``hunted`` = h examines exactly the full assignments that use more
+    than h colors, so its counters[1] plus the hunt's equals a pass's
+    without it.  ``run`` keeps them in locals and writes them back on
+    every return.
     """
 
-    def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int):
+    def __init__(self, adj_masks: list[int], sizes: list[int], u_cap: int, *,
+                 hunted: int = 0):
         m = len(sizes)
         self.m = m
         self.adj = adj = tuple(adj_masks)
         self.f = list(sizes)
         self.u_cap = min(u_cap, sum(sizes))
+        # per vertex, the options using at most this many colors are skipped
+        self.covered = covered = [0] * m
+        rest = 0
+        for v in range(m - 1, -1, -1):
+            covered[v] = hunted - rest
+            if adj[v] >> (v + 1):
+                rest += sizes[v]
         self.lists = [0] * m
         self.color_of = [0] * m
         # per vertex its earlier neighbours, the reach masks and the prune's
@@ -349,7 +385,7 @@ class SweepState:
     def _level_options(self, level: int) -> Iterator[tuple[int, int]]:
         return _pruned_options(self.adj, self.classes[level], level,
                                self.reach[level], self.f[level], self.u_cap,
-                               self.class_tests[level])
+                               self.class_tests[level], self.covered[level])
 
     def run(self, node_budget: int) -> int:
         """Advance by at most ``node_budget`` nodes; returns SWEEP_DONE,

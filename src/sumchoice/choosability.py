@@ -354,8 +354,9 @@ class _SweepOutcome:
 
 
 def _run_sweep(adj: Sequence[int], sizes: list[int], u_cap: int,
-               budget: Budget | None, context: str) -> _SweepOutcome:
-    state = _kernels.SweepState(adj, sizes, u_cap)
+               budget: Budget | None, context: str,
+               hunted: int = 0) -> _SweepOutcome:
+    state = _kernels.SweepState(adj, sizes, u_cap, hunted=hunted)
     while True:
         before = state.nodes
         status = state.run(CHUNK_NODES)
@@ -379,6 +380,11 @@ def is_choosable(g: Graph, f: Sequence[int], budget: Budget | None = None, *,
     available, which is always enough.  A preliminary witness-hunting pass
     over a small universe (max list size + 2, an empirically good cap) may
     settle NotChoosable early but is never used to conclude Choosable.
+    When it ends without a witness, the full pass leaves out the subtrees
+    that lie wholly inside its tree (see ``_kernels``): the hunt probed
+    every prefix there colorable.  ``assignments_examined`` adds the
+    hunt's assignments, which use at most its cap of colors, to the full
+    pass's, which use more, so it counts each assignment once.
     A size of 0 gives NotChoosable; a size that is not an integer, a
     negative size, or one above MAX_LIST_SIZE raises ValueError.
 
@@ -432,15 +438,18 @@ def _decide(g: Graph, f: SizeFunction, budget: Budget | None,
         if max(comp_sizes) + 2 < total:
             caps.append(max(comp_sizes) + 2)
         caps.append(total)
+        hunted = 0
         for cap in caps:
             out = _run_sweep(adj, comp_sizes, cap, budget=budget,
-                             context=f"choosability sweep (cap {cap})")
+                             context=f"choosability sweep (cap {cap})", hunted=hunted)
             nodes += out.nodes
             if out.witness is not None:
                 found = dict(zip(order, out.witness))
                 break
-            if cap == total:
-                assignments += out.assignments
+            # the full pass examines the assignments using more than
+            # ``hunted`` colors, the finished hunt all the others
+            assignments += out.assignments
+            hunted = cap
         else:
             # the sweep skipped assignments with a private color: check G_c - v
             for v in order:

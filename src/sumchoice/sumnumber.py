@@ -24,9 +24,11 @@ the same chi_sc(G - v) + deg(v) + 1, and ties go to the lowest vertex.
 Within one size, tau skips every candidate f that an automorphism gamma
 maps onto a lexicographically smaller one, f o gamma: the candidates of a
 size come in lexicographic order, so f o gamma was already refuted, and f
-and f o gamma have the same verdict.  Recursion over vertex-deleted
-subgraphs is memoized by canonical key, so isomorphic subproblems are
-solved once.
+and f o gamma have the same verdict.  tau also keeps to f(v) <= T -
+chi_sc(G - v) at size T, with the values rho found: choosability passes to
+induced subgraphs, so an f with a larger f(v) is not choosable.  Recursion
+over vertex-deleted subgraphs is memoized by canonical key, so isomorphic
+subproblems are solved once.
 """
 
 from __future__ import annotations
@@ -295,20 +297,33 @@ class BoundResult:
     """What ``rho`` or ``tau`` found: the bound and a size function of that
     size. With ``unknown`` the bound is undecided but at least
     ``lower_bound``; ``tau`` also sets it when it decides: every non-simple
-    size function below it is not choosable."""
+    size function below it is not choosable.  ``rho`` also gives
+    chi_sc(G - v) for every vertex v in ``chi_minus``, or a certified lower
+    bound on it where the budget ran out; ``tau`` narrows its box by them."""
 
     value: int | float  # INFINITY: no vertices (rho), none at <= cap (tau)
     choice_function: SizeFunction | None
     unknown: bool = False
     lower_bound: int = 0
+    chi_minus: tuple[int, ...] = ()
 
 
 def tau(g: Graph, cap: int | float, budget: Budget | None = None,
-        generators: list[list[int]] | None = None) -> BoundResult:
+        generators: list[list[int]] | None = None,
+        chi_minus: Sequence[int] | None = None) -> BoundResult:
     """Minimum size of a choosable size function with 2 <= f(v) <= deg(v)
     for every vertex, searched in nondecreasing total size up to ``cap``
     (lexicographic within one size).  INFINITY if none exists at <= cap or
     some vertex has degree below 2.
+
+    ``chi_minus`` (as ``rho`` gives it) holds chi_sc(G - v), or a lower
+    bound on it, for every vertex v.  At size T the search then keeps to
+    f(v) <= T - chi_minus[v]: an f of size T with a larger f(v) restricts
+    to G - v with a total below chi_sc(G - v), which is not choosable for
+    G - v, and choosability passes to induced subgraphs.  So no size
+    below max chi_minus + 2 has a candidate, and the search starts there.
+    Only candidates that are not choosable leave the box, so the result is
+    the one the whole box gives.
 
     The candidates of one size are taken one at a time, in order, and the
     first Choosable or Unknown verdict settles the size: no later candidate
@@ -319,9 +334,10 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
     lies in the same box at the same size and came earlier, hence was
     refuted (or skipped, by the same argument); and relabeling an
     uncolorable (f o gamma)-assignment by gamma gives an uncolorable
-    f-assignment.  ``chi_sc`` passes the automorphisms that its canonical
-    labeling of g found, so tau labels nothing; without them tau labels g
-    itself.
+    f-assignment.  The narrowed box keeps that exact: f o gamma is refuted
+    either way, in the box by its turn and outside it by the same bound.
+    ``chi_sc`` passes the automorphisms that its canonical labeling of g
+    found, so tau labels nothing; without them tau labels g itself.
 
     The budget is checked before every candidate, checked or skipped; once
     it runs out the result is unknown with every smaller size refuted.
@@ -331,10 +347,13 @@ def tau(g: Graph, cap: int | float, budget: Budget | None = None,
         return BoundResult(INFINITY, None)
     if generators is None:
         generators = canonical_labeling(g)[2]
+    if chi_minus is None:
+        chi_minus = [0] * g.n  # no bound: T - 0 > deg(v) at every size T
     lows = [2] * g.n
     hi = int(min(cap, sum(degs)))
-    for total in range(2 * g.n, hi + 1):
-        for f in bounded_sum_vectors(lows, degs, total):
+    for total in range(max(2 * g.n, max(chi_minus) + 2), hi + 1):
+        highs = [min(d, total - c) for d, c in zip(degs, chi_minus)]
+        for f in bounded_sum_vectors(lows, highs, total):
             if budget is not None:
                 try:
                     budget.check("size-function search")
@@ -356,6 +375,9 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
     """min over vertices of chi_sc(G - v) + deg(v) + 1 (INFINITY when there
     are no vertices).  Ties broken by ascending vertex index.  The choice
     function is the best G - v's optimal one with f(v) = deg(v) + 1 inserted.
+    ``chi_minus`` holds chi_sc(G - v) for every vertex v, or the certified
+    lower bound of its ChiUnknown; a vertex that is not visited (below)
+    has the value of the lowest vertex of its orbit.
 
     Only the lowest vertex of each orbit of the group that the automorphisms
     ``generators`` generate is visited.  That is exact: an automorphism
@@ -377,9 +399,12 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
     best_f = None
     floor: int | float = INFINITY
     any_unknown = False
+    chi_minus = [0] * g.n
     for v in range(g.n):
-        if orbit[v] & ((1 << v) - 1):
-            continue  # a lower vertex of v's orbit gave the same value
+        low = orbit[v] & -orbit[v]
+        if low != 1 << v:  # a lower vertex of v's orbit gave the same value
+            chi_minus[v] = chi_minus[low.bit_length() - 1]
+            continue
         sub = g.delete_vertex(v)
         try:
             if budget is not None:
@@ -391,15 +416,18 @@ def rho(g: Graph, memo: "MemoStore | None" = None,
         step = g.degree(v) + 1
         if isinstance(out, ChiUnknown):
             any_unknown = True
+            chi_minus[v] = out.lower
             floor = min(floor, out.lower + step)
         else:
+            chi_minus[v] = out.chi_sc
             if out.chi_sc + step < best:
                 best = out.chi_sc + step
                 best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
             floor = min(floor, out.chi_sc + step)
     if any_unknown and best > floor:  # floor is finite once a vertex is unknown
-        return BoundResult(INFINITY, None, unknown=True, lower_bound=floor)
-    return BoundResult(best, best_f)
+        return BoundResult(INFINITY, None, unknown=True, lower_bound=floor,
+                           chi_minus=tuple(chi_minus))
+    return BoundResult(best, best_f, chi_minus=tuple(chi_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +556,7 @@ def _chi_base(g, memo, budget, maps) -> ChiOutcome:
         return ChiUnknown(max(g.n, floor), gb,
                           "vertex-deletion recursion hit the budget")
     rho_val = rho_res.value  # finite: g has a vertex, and rho visits vertex 0
-    tau_res = tau(g, rho_val - 1, budget, maps)
+    tau_res = tau(g, rho_val - 1, budget, maps, rho_res.chi_minus)
     if tau_res.unknown:
         return ChiUnknown(min(rho_val, tau_res.lower_bound), rho_val,
                           "size-function search hit the budget")

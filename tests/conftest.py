@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sumchoice import Budget, MemoStore, graph_from_edges
+from sumchoice._kernels import SweepState
 from sumchoice.graphs import Graph
 
 
@@ -16,6 +17,15 @@ def memo():
 @pytest.fixture
 def budget():
     return Budget.of(seconds=300)
+
+
+class NoSkip(SweepState):
+    """The sweep with the full pass searching every subtree, as if no hunt
+    had run before it; ``is_choosable`` then counts the hunt's assignments
+    twice."""
+
+    def __init__(self, adj, sizes, u_cap, *, hunted=0):
+        super().__init__(adj, sizes, u_cap)
 
 
 def perm_orbit_min(n: int, edge_mask: int, pairs: list[tuple[int, int]]) -> int:

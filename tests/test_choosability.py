@@ -414,8 +414,9 @@ class TestVertexDeletionChecks:
         assert verdict.nodes == budget.nodes > own
 
     def test_budget_runs_out_inside_a_g_minus_v_sweep(self, monkeypatch):
-        # K2,3's own two sweeps finish within the limit; the first G - v
-        # check, a 4-cycle, runs out in its cap-4 sweep
+        # K2,3's own two sweeps, 184 nodes in the hunt and 4 in the full
+        # pass that skips what the hunt covered, finish within the limit; the
+        # first G - v check, a 4-cycle, runs out in its cap-4 sweep
         g = parse_graph6("DFw")
         assert canonical_form(generate(CompleteBipartite(2, 3))) == "DFw"
         started = []
@@ -427,10 +428,10 @@ class TestVertexDeletionChecks:
 
         monkeypatch.setattr(choosability, "_run_sweep", sweep)
         monkeypatch.setattr(choosability, "CHUNK_NODES", 1)
-        budget = Budget(node_limit=368)
+        budget = Budget(node_limit=188)
         verdict = is_choosable(g, (2,) * 5, budget)
         assert verdict == UnknownVerdict(
-            nodes=369, progress="node limit 368 exceeded in choosability sweep (cap 4)")
+            nodes=189, progress="node limit 188 exceeded in choosability sweep (cap 4)")
         assert verdict.nodes == budget.nodes
         assert started == [5, 5, 4]
 
@@ -464,9 +465,10 @@ class TestEveryWitnessIsChecked:
 
     def test_every_witness_path_searches_as_pinned(self, monkeypatch):
         # verdicts, witnesses, counts and budget nodes of drawn calls on both
-        # reduce_first paths, and of the G - v witness of K2,5 with f = 2; the
-        # pinned value is that of the search when each G - v check was an
-        # is_choosable call of its own
+        # reduce_first paths, and of the G - v witness of K2,5 with f = 2.
+        # Before the full pass skipped the subtrees the hunt covered it was
+        # c3263833187265a3, as it was when each G - v check was an
+        # is_choosable call of its own; only the node counts moved.
         digest = hashlib.sha256()
 
         def record(g, f, reduce_first):
@@ -487,7 +489,7 @@ class TestEveryWitnessIsChecked:
                 record(g, f, reduce_first)
         TestVertexDeletionChecks.spy_sweeps(monkeypatch, blind_order=7)
         record(generate(CompleteBipartite(2, 5)), (2,) * 7, True)
-        assert digest.hexdigest()[:16] == "c3263833187265a3"
+        assert digest.hexdigest()[:16] == "5687312db06a24dc"
 
 
 class TestCanonicalAssignments:

@@ -16,7 +16,7 @@ from sumchoice import (
     Choosable, NotChoosable, canonical_assignments, enumerate_connected_graphs,
     generate, is_choosable,
 )
-from sumchoice import _kernels
+from sumchoice import _kernels, choosability
 from sumchoice._kernels import (
     _DEAD, _FREE, _MUST, SWEEP_DONE, SWEEP_PAUSED, SWEEP_WITNESS, SweepState,
     _class_test, _options, _solve_lists,
@@ -27,7 +27,7 @@ from sumchoice.choosability import (
 from sumchoice.families import Complete, CompleteBipartite, Cycle, Wheel
 from sumchoice.graphs import iter_bits
 
-from conftest import graph_from_mask, vertex_pairs
+from conftest import NoSkip, graph_from_mask, vertex_pairs
 
 
 def test_list_colorable_agrees_with_brute_force_past_63_colors():
@@ -172,38 +172,42 @@ def test_private_color_cut_keeps_verdicts_on_drawn_graphs(data):
 
 
 # verdict, assignments_examined, nodes and summed solver calls of a few
-# fixed cases, the G - v checks included; the solver calls rise if a prefix
-# stops trying its parent's coloring, or a one-recolor repair of it, before
-# the solver
+# fixed cases, the G - v checks included, and the nodes and solver calls
+# without the full pass's skip; the solver calls rise if a prefix stops
+# trying its parent's coloring, or a one-recolor repair of it, before the
+# solver
 PINNED = {
-    "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, 3, None),
-    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, 66, 4),
-    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170, 744,
-             60),
-    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, 4097, 178),
-    "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, 3, None),
+    "K3": (generate(Complete(3)), (2, 2, 2), NotChoosable, None, (3, 3), None),
+    "C4": (generate(Cycle(4)), (2, 2, 2, 2), Choosable, 17, (37, 66), (2, 4)),
+    "K2,3": (generate(CompleteBipartite(2, 3)), (2, 2, 2, 2, 2), Choosable, 170,
+             (442, 744), (30, 60)),
+    "W4": (generate(Wheel(4)), (3, 2, 2, 2, 3), Choosable, 1393, (2215, 4097),
+           (89, 178)),
+    "W4-low": (generate(Wheel(4)), (2, 2, 2, 2, 3), NotChoosable, None, (3, 3), None),
 }
 
 
 def test_pinned_verdicts_and_counts(monkeypatch):
     states = []
+    for no_skip, sweep in enumerate((SweepState, NoSkip)):
 
-    class Recorded(SweepState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
+        class Recorded(sweep):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
 
-    monkeypatch.setattr(_kernels, "SweepState", Recorded)
-    for name, (g, f, verdict, assignments, nodes, solver_calls) in PINNED.items():
-        states.clear()
-        v = is_choosable(g, f)
-        assert type(v) is verdict, name
-        assert v.nodes == nodes, name
-        if verdict is Choosable:
-            assert v.assignments_examined == assignments, name
-        if solver_calls is not None:
-            assert sum(state.counters[2] for state in states) == solver_calls, name
-    assert is_choosable(*PINNED["K3"][:2]).witness == ((0, 1), (0, 1), (0, 1))
+        monkeypatch.setattr(_kernels, "SweepState", Recorded)
+        for name, (g, f, verdict, assignments, nodes, solver_calls) in PINNED.items():
+            states.clear()
+            v = is_choosable(g, f)
+            assert type(v) is verdict, name
+            assert v.nodes == nodes[no_skip], name
+            if verdict is Choosable and not no_skip:
+                assert v.assignments_examined == assignments, name
+            if solver_calls is not None:
+                assert sum(state.counters[2] for state in states) == solver_calls[no_skip], \
+                    name
+        assert is_choosable(*PINNED["K3"][:2]).witness == ((0, 1), (0, 1), (0, 1))
 
 
 # --- the kernel with its prune as a cut: every option of a vertex is built,
@@ -478,6 +482,115 @@ def test_tiny_chunks_pause_inside_the_last_level(chunk, monkeypatch):
     assert pauses_at_last > 0 and witnesses_at_last > 0
 
 
+class _CoveredCount(SweepState):
+    """A full pass with no skip that counts the nodes, and the leaves, whose
+    options use at most ``hunted`` colors."""
+
+    def __init__(self, adj, sizes, u_cap, hunted):
+        self.hunted = hunted
+        self.covered_nodes = self.covered_leaves = 0
+        super().__init__(adj, sizes, u_cap)
+
+    def _level_options(self, level):
+        for row in super()._level_options(level):
+            if row[1] <= self.hunted:
+                self.covered_nodes += 1
+                self.covered_leaves += level == self.m - 1
+            yield row
+
+
+def _run_to_end(state):
+    status = SWEEP_PAUSED
+    while status == SWEEP_PAUSED:
+        status = state.run(1 << 20)
+    return status
+
+
+def _check_skip(adj, sizes, hunted):
+    """After a hunt with cap ``hunted`` that ends SWEEP_DONE, the full pass
+    that skips what it covered against one that does not: the two end
+    alike, and when they end SWEEP_DONE the hunt's nodes and leaves are the
+    ones using at most ``hunted`` colors.  Returns the full pass's status,
+    None when the hunt found a witness."""
+    hunt = SweepState(adj, sizes, hunted)
+    if _run_to_end(hunt) != SWEEP_DONE:
+        return None
+    ref = _CoveredCount(adj, sizes, sum(sizes), hunted)
+    new = SweepState(adj, sizes, sum(sizes), hunted=hunted)
+    status = _run_to_end(ref)
+    assert _run_to_end(new) == status, (adj, sizes)
+    assert new.nodes <= ref.nodes
+    if status == SWEEP_WITNESS:
+        assert new.witness_lists() == ref.witness_lists()
+    else:
+        assert hunt.nodes == ref.covered_nodes, (adj, sizes)
+        assert hunt.assignments_examined == ref.covered_leaves
+        assert hunt.assignments_examined + new.assignments_examined \
+            == ref.assignments_examined, (adj, sizes)
+    return status
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_full_pass_skips_exactly_what_the_hunt_covered(n):
+    # the hunt's tree is the full pass's tree cut at its cap, so after a
+    # hunt that ends SWEEP_DONE the skipping pass's leaves are the rest
+    hunts = 0
+    for g in enumerate_connected_graphs(n):
+        adj, _ = _sweep_input(g)
+        degrees = [row.bit_count() for row in adj]
+        for sizes, hunted in itertools.product(
+                ([2] * n, [min(3, d + 1) for d in degrees]), range(2, 6)):
+            if max(sizes) <= hunted < sum(sizes):
+                hunts += _check_skip(adj, sizes, hunted) is not None
+    assert hunts > 0
+
+
+def test_full_pass_finds_the_witness_a_small_hunt_missed():
+    # K2,4 is not 2-choosable, but each witness uses four colors
+    adj, _ = _sweep_input(generate(CompleteBipartite(2, 4)))
+    assert [_check_skip(adj, [2] * 6, hunted) for hunted in (2, 3, 4)] \
+        == [SWEEP_WITNESS, SWEEP_WITNESS, None]
+
+
+def _verdicts_without_the_skip(graphs_and_sizes, monkeypatch):
+    """(verdict type, witness, assignments_examined) and nodes of each call,
+    with and without the full pass's skip.  Without it the full pass alone
+    counts the assignments, as the hunt's tree is part of its own."""
+    real = choosability._run_sweep
+
+    def no_skip(adj, sizes, u_cap, budget, context, hunted=0):
+        out = real(adj, sizes, u_cap, budget, context)
+        if u_cap < sum(sizes):
+            out.assignments = 0
+        return out
+
+    runs = []
+    for sweep in (real, no_skip):
+        monkeypatch.setattr(choosability, "_run_sweep", sweep)
+        runs.append([])
+        for g, f in graphs_and_sizes:
+            v = is_choosable(g, f)
+            runs[-1].append(((type(v), getattr(v, "witness", None),
+                              getattr(v, "assignments_examined", None)), v.nodes))
+    return runs
+
+
+def test_skip_keeps_every_verdict_on_graphs_up_to_order_5(monkeypatch):
+    calls = [(g, f) for n in range(1, 6) for g in enumerate_connected_graphs(n)
+             for f in itertools.product(*[range(1, g.degree(v) + 2) for v in range(n)])]
+    skip, no_skip = _verdicts_without_the_skip(calls, monkeypatch)
+    assert [out for out, _ in skip] == [out for out, _ in no_skip]
+    assert all(a <= b for (_, a), (_, b) in zip(skip, no_skip))
+    assert sum(nodes for _, nodes in skip) < sum(nodes for _, nodes in no_skip)
+
+
+def test_skip_keeps_every_two_choosability_verdict_up_to_order_7(monkeypatch):
+    calls = [(g, (2,) * n) for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    skip, no_skip = _verdicts_without_the_skip(calls, monkeypatch)
+    assert [out for out, _ in skip] == [out for out, _ in no_skip]
+    assert sum(nodes for _, nodes in skip) < sum(nodes for _, nodes in no_skip)
+
+
 def test_witness_found_at_the_last_level():
     # K3 with lists of two: the first two vertices always color, the third
     # is the first uncolorable prefix
@@ -587,8 +700,8 @@ def _two_choosable_digest(monkeypatch):
     states = []
 
     class Recorded(SweepState):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             states.append(self)
 
     monkeypatch.setattr(_kernels, "SweepState", Recorded)
@@ -605,11 +718,12 @@ def _two_choosable_digest(monkeypatch):
 
 def test_cold_and_warm_caches_search_alike(monkeypatch):
     # the digest from empty caches, then from the caches that run filled;
-    # the pinned value is that of the kernel before the caches were shared
+    # before the full pass skipped the subtrees the hunt covered it was
+    # faef1d0201feff8b, as it was before the caches were shared
     _clear_caches()
     cold = _two_choosable_digest(monkeypatch)
     assert _kernels._plan.cache_info().currsize > 0
-    assert cold == _two_choosable_digest(monkeypatch) == "faef1d0201feff8b"
+    assert cold == _two_choosable_digest(monkeypatch) == "1881960b9a9e335a"
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path as FilePath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumchoice import graphs as graphs_module, sumnumber
+from sumchoice import _kernels, graphs as graphs_module, sumnumber
 from sumchoice import (
     Budget, ChiUnknown, Choosable, INFINITY, MemoStore, NotChoosable,
     SumChoiceRecord, UnknownVerdict, canonical_form, chi_sc,
@@ -24,6 +24,8 @@ from sumchoice.families import (
     BrokenWheel, CartesianProduct, Complete, CompleteBipartite, Cycle, Path,
     PathOfCycles, Power, Theta, TreeOfCycles, Wheel,
 )
+
+from conftest import NoSkip
 
 def record(g, memo, budget=None, **kw):
     out = chi_sc(g, memo, budget, **kw)
@@ -80,7 +82,7 @@ def reference_tau(g, cap, budget=None):
     return BoundResult(INFINITY, None, lower_bound=hi + 1), checked
 
 
-def no_skip_tau(g, cap, budget=None, generators=None):
+def no_skip_tau(g, cap, budget=None, generators=None, chi_minus=None):
     return reference_tau(g, cap, budget)[0]
 
 
@@ -97,9 +99,9 @@ def audit_tau(monkeypatch) -> list[tuple[object, list]]:
         checked_by_tau.append(tuple(f))
         return real_check(g, f, budget)
 
-    def audited(g, cap, budget=None, generators=None):
+    def audited(g, cap, budget=None, generators=None, chi_minus=None):
         checked_by_tau.clear()
-        out = real_tau(g, cap, budget, generators)
+        out = real_tau(g, cap, budget, generators, chi_minus)
         want, checked = reference_tau(g, cap)
         assert out == want, (g.adj, cap)
         seen = set(checked_by_tau)
@@ -127,9 +129,10 @@ def reference_rho(g, memo=None, budget=None, generators=None):
     """rho without the orbit skip, written apart from the engine: chi_sc(G -
     v) + deg(v) + 1 for every vertex v in ascending order, the best kept on
     a strict improvement, and a budget that ran out bounds each G - v left
-    by its order."""
+    by its order.  Each chi_sc(G - v), or that bound, goes to chi_minus."""
     memo = memo if memo is not None else MemoStore()
     best, best_f, floor, any_unknown = INFINITY, None, INFINITY, False
+    chi_minus = []
     for v in range(g.n):
         sub = g.delete_vertex(v)
         try:
@@ -141,16 +144,19 @@ def reference_rho(g, memo=None, budget=None, generators=None):
         step = g.degree(v) + 1
         if isinstance(out, ChiUnknown):
             any_unknown = True
+            chi_minus.append(out.lower)
             floor = min(floor, out.lower + step)
             continue
+        chi_minus.append(out.chi_sc)
         if out.chi_sc + step < best:
             best = out.chi_sc + step
             best_f = out.optimal_f[:v] + (step,) + out.optimal_f[v:]
         floor = min(floor, out.chi_sc + step)
     if any_unknown and best > floor:
         return BoundResult(INFINITY, None, unknown=True,
-                           lower_bound=int(floor) if floor != INFINITY else 0)
-    return BoundResult(best, best_f)
+                           lower_bound=int(floor) if floor != INFINITY else 0,
+                           chi_minus=tuple(chi_minus))
+    return BoundResult(best, best_f, chi_minus=tuple(chi_minus))
 
 
 def every_record(graphs, every_vertex=False) -> tuple[list, list, int]:
@@ -235,15 +241,22 @@ class TestTau:
             skips = audit_tau(patch)
             rec = record(g, MemoStore(), budget)
         assert rec.chi_sc == 12 and rec.optimal_f == (3, 2, 2, 2, 3)
-        assert budget.nodes == 4127
-        # Without the orbit skip the count was 4161: the 34 nodes saved are
-        # what the checks of the skipped candidates cost.
+        assert budget.nodes == 2239
+        # The candidates that tau's orbit skip and its narrowed box leave out
+        # cost 40 nodes to check, with the full pass's skip or without it.
+        # The orbit skip alone gave 4127 without it.
         skipped_nodes = sum(v.nodes for _, call in skips for _, v in call)
-        assert skipped_nodes == 34
-        no_skip = Budget()
-        monkeypatch.setattr(sumnumber, "tau", no_skip_tau)
-        assert record(g, MemoStore(), no_skip) == rec
-        assert no_skip.nodes == 4161 == budget.nodes + skipped_nodes
+        assert skipped_nodes == 40
+        counts = []
+        real_tau = sumnumber.tau
+        for sweep in (_kernels.SweepState, NoSkip):
+            monkeypatch.setattr(_kernels, "SweepState", sweep)
+            for tau_fn in (real_tau, no_skip_tau):
+                monkeypatch.setattr(sumnumber, "tau", tau_fn)
+                no_skip = Budget()
+                assert record(g, MemoStore(), no_skip) == rec
+                counts.append(no_skip.nodes)
+        assert counts == [2239, 2239 + 40, 4121, 4121 + 40]
 
     def test_orbit_skip_matches_no_skip_on_graphs_up_to_order_5(self, monkeypatch):
         skips = audit_tau(monkeypatch)
@@ -257,7 +270,8 @@ class TestTau:
         for spec in CYCLE_TREE_SPECS:
             g = generate(parse_family(spec))
             record(g, MemoStore())
-        assert assert_skips_refuted(skips) == 6
+        # 6 by the orbit skip and 2 more by the box chi_minus narrows
+        assert assert_skips_refuted(skips) == 8
 
     @pytest.mark.extended
     def test_six_vertex_census_matches_no_skip(self, monkeypatch):
@@ -298,6 +312,86 @@ class TestTau:
         monkeypatch.setattr(sumnumber, "chi_sc", spy)
         sumnumber.chi_sc(generate(spec), MemoStore())
         assert len(seen) == calls
+
+
+def tau_without_values(monkeypatch) -> None:
+    """Make every tau call search the whole box, ignoring rho's chi_minus."""
+    real = sumnumber.tau
+
+    def plain(g, cap, budget=None, generators=None, chi_minus=None):
+        return real(g, cap, budget, generators)
+
+    monkeypatch.setattr(sumnumber, "tau", plain)
+
+
+class TestNarrowedBox:
+    def test_every_dropped_candidate_has_a_witness_on_graphs_up_to_order_5(
+            self, monkeypatch):
+        # each candidate of the whole box that tau did not check, beside the
+        # reference tau: f leaves the box at size T when f(v) > T -
+        # chi_sc(G - v) for some v, so its restriction to G - v has a
+        # witness, and v's fresh colors lift it to an uncolorable
+        # f-assignment of G; the others are orbit skips
+        values = []
+        real = sumnumber.tau
+
+        def spy(g, cap, budget=None, generators=None, chi_minus=None):
+            values.append(chi_minus)
+            return real(g, cap, budget, generators, chi_minus)
+
+        monkeypatch.setattr(sumnumber, "tau", spy)
+        skips = audit_tau(monkeypatch)
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                record(g, MemoStore())
+        dropped = 0
+        for (g, skipped), chi_minus in zip(skips, values, strict=True):
+            for f, _ in skipped:
+                low = [v for v in range(g.n) if sum(f) - f[v] < chi_minus[v]]
+                if not low:
+                    continue
+                v = low[0]
+                verdict = is_choosable(g.delete_vertex(v), f[:v] + f[v + 1:])
+                assert isinstance(verdict, NotChoosable), (g.adj, f)
+                fresh = max(c for row in verdict.witness for c in row) + 1
+                lists = (verdict.witness[:v] + (tuple(range(fresh, fresh + f[v])),)
+                         + verdict.witness[v:])
+                assert [len(row) for row in lists] == list(f)
+                assert is_list_colorable(g, lists) is None, (g.adj, f)
+                dropped += 1
+        assert assert_skips_refuted(skips) > dropped > 0
+
+    @pytest.mark.parametrize("which", ["five-vertex", "cycle trees"])
+    def test_records_match_the_whole_box(self, which, monkeypatch):
+        if which == "cycle trees":
+            graphs = [generate(parse_family(spec)) for spec in CYCLE_TREE_SPECS]
+        else:
+            graphs = list(enumerate_connected_graphs(5))
+        want = every_record(graphs)[:2]
+        tau_without_values(monkeypatch)
+        assert every_record(graphs)[:2] == want
+
+    @pytest.mark.extended
+    def test_six_vertex_census_matches_the_whole_box(self, monkeypatch):
+        graphs = list(enumerate_connected_graphs(6))
+        want = every_record(graphs)[:2]
+        tau_without_values(monkeypatch)
+        assert every_record(graphs)[:2] == want
+
+    def test_budgeted_bounds_bracket_the_value(self):
+        # tau starts at max chi_sc(G - v) + 2, so the bound it reports when
+        # the budget runs out is higher than before; it must still hold
+        unknown_in_tau = 0
+        for g in enumerate_connected_graphs(5):
+            chi = record(g, MemoStore()).chi_sc
+            for limit in (0, 1, 2, 3, 5, 8, 12, 20, 30, 50, 80, 120, 200, 300):
+                out = chi_sc(g, MemoStore(), Budget(node_limit=limit))
+                if isinstance(out, ChiUnknown):
+                    assert out.lower <= chi <= out.upper, (g.adj, limit, out)
+                    unknown_in_tau += out.progress.startswith("size-function")
+                else:
+                    assert out.chi_sc == chi
+        assert unknown_in_tau > 0
 
 
 class TestRho:
